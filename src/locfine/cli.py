@@ -518,6 +518,8 @@ def _cmd_entail(args, out):
 
 
 def _cmd_bounded(args, out):
+    if args.depth < 0:
+        raise ParseError(f"--depth must be non-negative, got {args.depth}")
     _, m = _load(args.file, want=("monoid",))
     target = normalize(_parse_cover_arg(args.target), m.carrier)
     tree = bounded_member(lazy_view(m), target, args.depth, start=m.carrier.top)
@@ -608,7 +610,7 @@ def main(argv=None) -> int:
         out.put(command=args.command, error=str(exc))
         out.say(f"limit exceeded: {exc}")
         return out.flush(3)
-    except (ParseError, InvalidTopologyError, OSError, ValueError) as exc:
+    except (LocfineError, OSError, ValueError) as exc:
         out.put(command=args.command, error=str(exc))
         out.say(f"error: {exc}")
         return out.flush(2)

@@ -144,3 +144,39 @@ def test_product_command(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "product points: 9" in out
+
+
+def _bad_start_game(tmp_path):
+    with open(fx("game_win.cov"), "r", encoding="utf-8") as fh:
+        text = fh.read().replace("start {0 1 2}", "start {9}")
+    path = tmp_path / "bad_start.cov"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+INVALID_ARGUMENTS = {
+    "witness-target-outside-carrier":
+        lambda tmp: ["witness", fx("overlap_monoid.cov"), "--target", "{7}"],
+    "bounded-target-outside-carrier":
+        lambda tmp: ["bounded", fx("overlap_monoid.cov"), "--target", "{a}",
+                     "--depth", "2"],
+    "game-start-outside-carrier":
+        lambda tmp: ["game", _bad_start_game(tmp)],
+    "bounded-negative-depth":
+        lambda tmp: ["bounded", fx("overlap_monoid.cov"), "--target",
+                     "{0} {1} {2}", "--depth", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_ARGUMENTS))
+def test_invalid_arguments_exit_2_without_traceback(case, tmp_path, capsys):
+    argv = INVALID_ARGUMENTS[case](tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["--json"] + argv) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["exit"] == 2 and payload["error"]
+    assert "Traceback" not in captured.err

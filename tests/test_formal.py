@@ -1,12 +1,17 @@
 """Formal entailment: rules of inference, proof trees, covers of the unit."""
 
-import pytest
+import os
 
+import pytest
+from test_acceptance import _commutative_monoids_up_to
+
+from locfine.cli import parse_structure
 from locfine.covering import is_locally_fine, member, saturate
 from locfine.formal import (
     Derivation,
     FormalPresentation,
     Judgment,
+    _saturate_judgments,
     covers_of_unit,
     derivable_judgments,
     derivation,
@@ -16,6 +21,71 @@ from locfine.formal import (
 )
 
 f = frozenset
+FORMAL_MEET = os.path.join(os.path.dirname(__file__), "fixtures", "formal_meet.cov")
+
+
+def _reference_saturate(p: FormalPresentation):
+    """The naive saturation: every round re-runs every rule over the whole
+    derived set.  The kernel must return exactly this dict, order included."""
+    derived = {}
+
+    def jkey(j):
+        return (j.subject, tuple(sorted(j.cover)))
+
+    def propose(batch, j, rule, premises):
+        if j not in derived and j not in batch:
+            batch[j] = (rule, premises)
+
+    covers = p.all_covers()
+    batch = {}
+    for j in p.axioms:
+        propose(batch, j, "axiom", ())
+    for u in covers:
+        for a in sorted(u):
+            propose(batch, Judgment(a, u), "member", ())
+    for a in p.elements:
+        for b in p.elements:
+            propose(batch, Judgment(p.product(a, b), frozenset({a})), "divide", ())
+    while batch:
+        for j in sorted(batch, key=jkey):
+            derived[j] = batch[j]
+        batch = {}
+        by_subject = {}
+        for j in derived:
+            by_subject.setdefault(j.subject, []).append(j)
+        for a, js in sorted(by_subject.items()):
+            js = sorted(js, key=jkey)
+            for j1 in js:
+                for j2 in js:
+                    prod = p.cover_product(j1.cover, j2.cover)
+                    propose(batch, Judgment(a, prod), "product", (j1, j2))
+        for j in sorted(derived, key=jkey):
+            for v in covers:
+                sub = []
+                ok = True
+                for u in sorted(j.cover):
+                    ju = Judgment(u, v)
+                    if ju not in derived:
+                        ok = False
+                        break
+                    sub.append(ju)
+                if ok:
+                    propose(batch, Judgment(j.subject, v), "compose",
+                            (j,) + tuple(sub))
+    return derived
+
+
+def _presentations(n_max, with_axiom):
+    """Every commutative monoid on <= n_max elements, either bare or with
+    each single axiom a |= U (empty U included)."""
+    for elems, unit, table in _commutative_monoids_up_to(n_max):
+        base = FormalPresentation(elems, unit, table)
+        if not with_axiom:
+            yield base
+            continue
+        for a in elems:
+            for u in base.all_covers():
+                yield FormalPresentation(elems, unit, table, (Judgment(a, u),))
 
 
 
@@ -90,6 +160,17 @@ class TestEntails:
         with pytest.raises(ValueError):
             entails(rule4_fixture, Judgment("q", f({"b"})))
 
+    def test_empty_covers_agree_with_relational_engine(self):
+        checked = 0
+        for bare in (True, False):
+            for p in _presentations(3, with_axiom=not bare):
+                closed, _ = saturate(to_covering_relation(p))
+                for a in p.elements:
+                    assert closed.holds(a, f()) == entails(p, Judgment(a, f())), \
+                        (p.elements, p.mul, p.axioms, a)
+                    checked += 1
+        assert checked == 414
+
 
 class TestDerivation:
     def test_rule1_single_leaf(self, rule4_fixture):
@@ -110,6 +191,12 @@ class TestDerivation:
         p = FormalPresentation(elems, "1", mul)
         assert derivation(p, Judgment("1", f({"0"}))) is None
         assert not entails(p, Judgment("1", f({"0"})))
+
+    def test_unknown_elements_rejected(self, rule4_fixture):
+        with pytest.raises(ValueError, match="unknown elements"):
+            derivation(rule4_fixture, Judgment("q", f({"b"})))
+        with pytest.raises(ValueError, match="unknown elements"):
+            derivation(rule4_fixture, Judgment("b", f({"z"})))
 
     def test_premises_are_derivations_of_their_conclusions(self, rule4_fixture):
         d = derivation(rule4_fixture, Judgment("1", f({"0"})))
@@ -200,3 +287,42 @@ def test_divisibility_preorder_has_unit_top(rule4_fixture):
     assert pre.top == "1"
     assert pre.le("0", "b") and pre.le("0", "c") and pre.le("b", "1")
     assert not pre.le("b", "c")
+
+
+class TestKernelMatchesReference:
+    """The semi-naive kernel returns the naive saturation's dict: the same
+    judgments, rules and premises, in the same insertion order."""
+
+    @staticmethod
+    def _assert_same(p):
+        got = list(_saturate_judgments(p).items())
+        assert got == list(_reference_saturate(p).items()), \
+            (p.elements, p.mul, p.axioms)
+
+    def test_bare_monoids_up_to_4(self):
+        for p in _presentations(4, with_axiom=False):
+            self._assert_same(p)
+
+    def test_one_axiom_monoids_up_to_3(self):
+        for p in _presentations(3, with_axiom=True):
+            self._assert_same(p)
+
+    def test_unit_axiom_monoids_of_4(self):
+        """Axioms on the unit of a 4-element monoid are the smallest inputs
+        whose new judgments need an old compose or product premise.  A
+        cover holding the unit is a member instance, so it is skipped."""
+        for elems, unit, table in _commutative_monoids_up_to(4):
+            if len(elems) < 4:
+                continue
+            base = FormalPresentation(elems, unit, table)
+            for u in base.all_covers():
+                if unit not in u:
+                    self._assert_same(FormalPresentation(
+                        elems, unit, table, (Judgment(unit, u),)))
+
+    def test_fixtures(self, rule4_fixture):
+        with open(FORMAL_MEET, encoding="utf-8") as fh:
+            kind, meet = parse_structure(fh.read())
+        assert kind == "formal"
+        for p in (meet, rule4_fixture):
+            self._assert_same(p)
