@@ -63,10 +63,7 @@ class SubsetCarrier:
 
     def elements(self) -> Iterator[frozenset]:
         """All subsets in canonical order (2^n of them)."""
-        pts = sorted(self.points)
-        for r in range(len(pts) + 1):
-            for combo in combinations(pts, r):
-                yield frozenset(combo)
+        return map(frozenset, subsets(sorted(self.points)))
 
     def class_reps(self):
         return list(self.elements())
@@ -120,16 +117,7 @@ class Preorder:
     def from_edges(cls, elements, edges, top):
         """Build from a sparse ``a <= b`` edge list; closure is computed."""
         names = set(elements)
-        rel = {(a, a) for a in names} | {tuple(e) for e in edges}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, c in list(rel):
-                    if b == b2 and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        return cls(names, rel, top)
+        return cls(names, reflexive_transitive_closure(names, edges), top)
 
     def is_element(self, e) -> bool:
         return e in self._rep
@@ -177,6 +165,33 @@ class Preorder:
 
 
 Carrier = Union[SubsetCarrier, Preorder]
+
+
+def subsets(items) -> Iterator[tuple]:
+    """Every subset of ``items`` as a tuple: by size, then in
+    ``combinations`` order (lexicographic when ``items`` is sorted)."""
+    items = tuple(items)
+    for r in range(len(items) + 1):
+        yield from combinations(items, r)
+
+
+def reflexive_transitive_closure(names, edges) -> set:
+    """The least reflexive, transitive relation on ``names`` containing the
+    ``(a, b)`` pairs of ``edges``, as a set of pairs.
+
+    Warshall's algorithm over per-element up-sets: once pivot ``k`` is
+    processed, every element whose up-set holds ``k`` holds all of ``k``'s.
+    """
+    up = {a: {a} for a in names}
+    for a, b in edges:
+        if a not in up or b not in up:
+            raise ValueError(f"relation mentions unknown element: {(a, b)}")
+        up[a].add(b)
+    for k, above_k in up.items():
+        for above in up.values():
+            if k in above:
+                above |= above_k
+    return {(a, b) for a, above in up.items() for b in above}
 
 
 def cover_key(u: Cover, carrier) -> tuple:
@@ -324,12 +339,3 @@ def all_canonical_covers(carrier, max_count: int = DEFAULT_MAX_COVERS):
     chains.sort(key=lambda c: cover_key(c, carrier))
     return chains
 
-
-def is_cover_of_top(u: Cover, carrier) -> bool:
-    """On a subset carrier: the members exhaust the point set."""
-    if isinstance(carrier, SubsetCarrier):
-        acc = set()
-        for m in u:
-            acc |= m
-        return frozenset(acc) == carrier.points
-    return True

@@ -16,8 +16,15 @@ import json
 import re
 import sys
 
-from .carrier import Preorder, SubsetCarrier, cover_key, normalize
+from .carrier import (
+    Preorder,
+    SubsetCarrier,
+    cover_key,
+    normalize,
+    reflexive_transitive_closure,
+)
 from .covering import (
+    DEFAULT_MAX_COVERS,
     CoveringMonoid,
     CoveringRelation,
     NoetherianTree,
@@ -122,19 +129,8 @@ def _parse_space(rows):
 
 def _parse_frame(rows):
     elements = [_name(t) for t in _one_row(rows, "elements")]
-    le = {(a, a) for a in elements}
-    for args in _rows_by(rows, "le"):
-        a, b = (_name(t) for t in args)
-        le.add((a, b))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(le):
-            for (b2, c) in list(le):
-                if b == b2 and (a, c) not in le:
-                    le.add((a, c))
-                    changed = True
-    return Frame(elements, le)
+    edges = [tuple(_name(t) for t in args) for args in _rows_by(rows, "le")]
+    return Frame(elements, reflexive_transitive_closure(elements, edges))
 
 
 def _parse_monoid_parts(rows):
@@ -313,14 +309,7 @@ def _cmd_check(args, out):
         violations = list(validate_frame(value).violations)
     elif kind == "covrel":
         violations = audit_axioms(value, max_covers=args.max_scan).lines(value.carrier)
-    elif kind == "monoid":
-        pass  # construction already validated the basis
-    elif kind == "formal":
-        pass  # the table was validated while parsing
-    elif kind == "game":
-        pass
-    elif kind == "preorder":
-        pass
+    # monoid, formal, game and preorder files are validated while parsing
     ok = not violations
     out.put(command="check", file=args.file, kind=kind, ok=ok,
             violations=violations)
@@ -331,8 +320,12 @@ def _cmd_check(args, out):
 
 
 def _as_frame(kind, value):
+    """The frame a frame or space file denotes; an invalid frame is an error."""
     if kind == "space":
         return frame_from_space(value)
+    report = validate_frame(value)
+    if report.violations:
+        raise InvalidTopologyError("; ".join(report.violations))
     return value
 
 
@@ -493,12 +486,15 @@ def _cmd_entail(args, out):
     if len(toks) != 2:
         raise ParseError("judgment must look like: subject {a b}")
     j = Judgment(_name(toks[0]), _set_literal(toks[1]))
-    ok = entails(p, j)
+    if args.proof:
+        d = derivation(p, j)  # None exactly when not derivable
+        ok = d is not None
+    else:
+        d, ok = None, entails(p, j)
     out.put(command="entail", file=args.file,
             judgment=[j.subject, sorted(j.cover)], derivable=ok)
     out.say(f"derivable: {str(ok).lower()}")
-    if args.proof and ok:
-        d = derivation(p, j)
+    if d is not None:
 
         def render(node, indent):
             out.say("  " * indent + f"- {node.conclusion} [{node.rule}]")
@@ -537,8 +533,8 @@ def build_parser():
         prog="locfine",
         description="Finite locales, cover monoids, and the locally fine closure.")
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--max-scan", type=int, default=5000, metavar="N",
-                    help="guard for exhaustive cover scans (default 5000)")
+    ap.add_argument("--max-scan", type=int, default=DEFAULT_MAX_COVERS, metavar="N",
+                    help="guard for exhaustive cover scans (default %(default)s)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="audit axioms / frame laws / topology")

@@ -24,12 +24,10 @@ enumeration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import carrier as oc
 from .carrier import (
     Cover,
-    Preorder,
     SubsetCarrier,
     all_canonical_covers,
     cover_key,
@@ -39,6 +37,7 @@ from .carrier import (
     refines,
     restrict,
     star_refines,
+    subsets,
 )
 from .errors import CarrierMismatchError
 from .frames import SpaceDescription
@@ -147,10 +146,7 @@ class _CoverSpace:
         self.carrier = carrier
         self.covers = all_canonical_covers(carrier, max_count=max_covers)
         self.cid = {c: i for i, c in enumerate(self.covers)}
-        if isinstance(carrier, SubsetCarrier):
-            self.subjects = sorted(carrier.class_reps(), key=carrier.key)
-        else:
-            self.subjects = sorted(carrier.class_reps(), key=carrier.key)
+        self.subjects = sorted(carrier.class_reps(), key=carrier.key)
         self.sid = {s: i for i, s in enumerate(self.subjects)}
         self._meets = {}
         self.member_sids = [frozenset(self.sid[self.carrier.rep(m)] for m in c)
@@ -311,16 +307,8 @@ def audit_axioms(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS) ->
 
 def meet_closure(basis, carrier):
     """All folded meets of nonempty subsets of the basis, canonicalized."""
-    out = []
-    seen = set()
-    bs = list(basis)
-    for r in range(1, len(bs) + 1):
-        for sub in combinations(bs, r):
-            m = fold_meet(sub, carrier)
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-    return sorted(out, key=lambda c: cover_key(c, carrier))
+    meets = {fold_meet(sub, carrier) for sub in subsets(basis) if sub}
+    return sorted(meets, key=lambda c: cover_key(c, carrier))
 
 
 def global_meet(m: CoveringMonoid) -> Cover:
@@ -388,45 +376,16 @@ def _restrict_to_piece(cover, piece, carrier):
     return meet_cover(cover, frozenset([piece]), carrier)
 
 
-def _depth_member(m: CoveringMonoid, v: Cover, depth: int) -> bool:
-    """Noetherian trees of depth <= depth with basis-restriction covers."""
-    c = m.carrier
-    v = normalize(v, c)
-    memo = {}
-
-    def dec(piece, d):
-        key = (piece, d)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if any(c.le(piece, t) for t in v):
-            memo[key] = True
-            return True
-        if d == 0:
-            memo[key] = False
-            return False
-        for b in m.basis:
-            pieces = _restrict_to_piece(b, piece, c)
-            if pieces and all(dec(q, d - 1) for q in oc.sorted_members(pieces, c)):
-                memo[key] = True
-                return True
-        memo[key] = False
-        return False
-
-    return dec(c.rep(c.top) if isinstance(c, Preorder) else c.top, depth)
-
-
 def rank(m: CoveringMonoid) -> int:
     """Least stage at which the derivative sequence stabilizes (0 when the
-    monoid is already locally fine)."""
-    target = global_meet(m)
-    alpha = 0
-    while True:
-        if _depth_member(m, target, alpha + 1):
-            return alpha
-        alpha += 1
-        if alpha > len(m.basis):
-            raise AssertionError("derivative sequence failed to stabilize")
+    monoid is already locally fine): one less than the depth of the
+    shallowest Noetherian tree witnessing the meet of the basis."""
+    c = m.carrier
+    tree = bounded_member(lazy_view(m), global_meet(m), len(m.basis) + 1,
+                          start=c.top, le=c.le)
+    if tree is None:
+        raise AssertionError("derivative sequence failed to stabilize")
+    return max(tree.depth() - 1, 0)
 
 
 def witness_tree(m: CoveringMonoid, v: Cover):
@@ -540,7 +499,7 @@ def lazy_view(m: CoveringMonoid):
     def covers_of(piece):
         out = []
         for b in m.basis:
-            tr = restrict(b, piece, c)
+            tr = _restrict_to_piece(b, piece, c)
             if tr:
                 out.append(oc.sorted_members(tr, c))
         return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 
-from .carrier import Preorder, cover_key
+from .carrier import Preorder, cover_key, subsets
 from .covering import CoveringMonoid, CoveringRelation
 
 
@@ -81,10 +81,7 @@ class FormalPresentation:
         return frozenset(self.product(a, b) for a in u for b in v)
 
     def all_covers(self):
-        out = [frozenset()]
-        for e in self.elements:
-            out += [s | {e} for s in out]
-        return sorted(set(out), key=lambda s: (len(s), tuple(sorted(s))))
+        return [frozenset(s) for s in subsets(self.elements)]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .carrier import subsets
 from .errors import InvalidTopologyError
 
 
@@ -182,10 +183,11 @@ def validate_frame(f: Frame, exhaustive_limit: int = 10) -> FrameReport:
     """
     out = []
     elems = f.elements
-    for a, b in f.le_set:
+    le_pairs = sorted(f.le_set)
+    for a, b in le_pairs:
         if (b, a) in f.le_set and a != b:
             out.append(f"antisymmetry fails: {a} and {b} are mutually below each other")
-    for a, b in f.le_set:
+    for a, b in le_pairs:
         for c in elems:
             if (b, c) in f.le_set and (a, c) not in f.le_set:
                 out.append(f"transitivity fails: {a} <= {b} <= {c}")
@@ -211,16 +213,13 @@ def validate_frame(f: Frame, exhaustive_limit: int = 10) -> FrameReport:
                         f"Heyting law fails: {x} /\\ ({y} \\/ {z}) = {lhs} "
                         f"but ({x} /\\ {y}) \\/ ({x} /\\ {z}) = {rhs}")
     if not out and len(elems) <= exhaustive_limit:
-        subsets = [[]]
-        for e in elems:
-            subsets += [s + [e] for s in subsets]
         for x in elems:
-            for sub in subsets:
+            for sub in subsets(elems):
                 lhs = f.meet(x, f.big_join(sub))
                 rhs = f.big_join(f.meet(x, y) for y in sub)
                 if lhs != rhs:
                     out.append(
-                        f"Heyting law fails on subset {sub} at {x}")
+                        f"Heyting law fails on subset {list(sub)} at {x}")
     return FrameReport(tuple(out))
 
 
@@ -342,10 +341,7 @@ def space_sierpinski() -> SpaceDescription:
 
 def space_discrete(names) -> SpaceDescription:
     pts = sorted(names)
-    subsets = [[]]
-    for p in pts:
-        subsets += [s + [p] for s in subsets]
-    return SpaceDescription(frozenset(pts), frozenset(frozenset(s) for s in subsets))
+    return SpaceDescription(frozenset(pts), frozenset(map(frozenset, subsets(pts))))
 
 
 def space_chain3() -> SpaceDescription:

@@ -19,7 +19,7 @@ the fixpoint agrees with the full closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .carrier import (
     Preorder,
@@ -30,12 +30,17 @@ from .carrier import (
     fold_meet,
     normalize,
     refines,
+    subsets,
 )
-from .covering import CoveringMonoid, CoveringRelation, member, saturate
+from .covering import (
+    DEFAULT_MAX_COVERS,
+    CoveringMonoid,
+    CoveringRelation,
+    member,
+    saturate,
+)
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
-
-DEFAULT_MAX_COVERS = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +105,13 @@ def product_monoid(ms, max_basis: int = DEFAULT_MAX_COVERS) -> CoveringMonoid:
         for b in m.basis:
             pullbacks.append(normalize(pullback_cover(b, i, point_sets), carrier))
     pullbacks = sorted(set(pullbacks), key=lambda c: cover_key(c, carrier))
-    basis = []
-    seen = set()
-    count = 0
-    for r in range(1, len(pullbacks) + 1):
-        for sub in combinations(pullbacks, r):
-            count += 1
-            if count > max_basis:
-                raise LimitExceededError(
-                    f"product basis would exceed {max_basis} meets")
-            m = fold_meet(sub, carrier)
-            if m not in seen:
-                seen.add(m)
-                basis.append(m)
+    basis = set()
+    for count, sub in enumerate(subsets(pullbacks)):
+        if count > max_basis:  # sub is the count-th nonempty subset
+            raise LimitExceededError(
+                f"product basis would exceed {max_basis} meets")
+        if sub:
+            basis.add(fold_meet(sub, carrier))
     return CoveringMonoid(carrier, tuple(basis))
 
 

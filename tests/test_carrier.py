@@ -13,9 +13,11 @@ from locfine.carrier import (
     meet_cover,
     mutually_refine,
     normalize,
+    reflexive_transitive_closure,
     refines,
     restrict,
     star_refines,
+    subsets,
 )
 
 f = frozenset
@@ -207,3 +209,51 @@ def test_preorder_rejects_non_transitive_relation():
 def test_preorder_requires_dominating_top():
     with pytest.raises(ValueError):
         Preorder.from_edges("ab", [], "a")
+
+
+def _brute_closure(names, edges):
+    """Close under composition until nothing new appears."""
+    rel = {(a, a) for a in names} | set(edges)
+    while True:
+        more = {(a, d) for (a, b) in rel for (c, d) in rel if b == c} - rel
+        if not more:
+            return rel
+        rel |= more
+
+
+@st.composite
+def _edge_lists(draw):
+    """Names drawn from six letters, and edges over them; with a stray
+    name ``z`` in the pool when the flag is drawn."""
+    names = draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=6))
+    pool = names + ["z"] if draw(st.booleans()) else names
+    if not pool:
+        return names, []
+    node = st.sampled_from(pool)
+    return names, draw(st.lists(st.tuples(node, node), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_reflexive_transitive_closure_matches_brute_force(case):
+    names, edges = case
+    if any(x not in names for e in edges for x in e):
+        with pytest.raises(ValueError, match="relation mentions unknown element"):
+            reflexive_transitive_closure(names, edges)
+    else:
+        assert reflexive_transitive_closure(names, edges) == _brute_closure(names, edges)
+
+
+def _doubling_subsets(elements):
+    """The former ``FormalPresentation.all_covers``: double, then sort."""
+    out = [f()]
+    for e in elements:
+        out += [s | {e} for s in out]
+    return sorted(set(out), key=lambda s: (len(s), tuple(sorted(s))))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_subsets_by_size_then_lexicographic(n):
+    elems = tuple("abcdefg"[:n])
+    assert [f(s) for s in subsets(elems)] == _doubling_subsets(elems)
+    assert list(SubsetCarrier(elems).elements()) == _doubling_subsets(elems)

@@ -48,6 +48,10 @@ CANNED = [
     (["spatial", fx("bad_topology_space.cov")], 2),
     (["coproduct", fx("sierpinski_space.cov"), fx("sierpinski_space.cov"),
       "--compare-space"], 0),
+    # an invalid frame is rejected, never answered
+    (["points", fx("m3_frame.cov")], 2),
+    (["spatial", fx("m3_frame.cov")], 2),
+    (["coproduct", fx("sierpinski_frame.cov"), fx("m3_frame.cov")], 2),
 ]
 
 
@@ -124,6 +128,59 @@ def test_json_and_text_verdicts_agree(argv, expected, capsys):
     want = _expected_text(command, payload)
     if want is not None:
         assert want in text
+
+
+INVALID_FRAMES = {
+    # Frame() used to drop the pair naming z and answer for the rest
+    "unknown-name": "kind frame\nelements 0 1\nle 0 1\nle 1 z\n",
+    # a and b below each other: two identical points were reported
+    "cycle": "kind frame\nelements a b\nle a b\nle b a\n",
+}
+
+
+@pytest.mark.parametrize("case,command", [
+    ("unknown-name", "check"), ("unknown-name", "points"),
+    ("unknown-name", "spatial"), ("cycle", "points"), ("cycle", "spatial"),
+])
+def test_invalid_frame_file_exits_2_without_traceback(case, command, tmp_path,
+                                                      capsys):
+    path = tmp_path / f"{case}.cov"
+    path.write_text(INVALID_FRAMES[case], encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["--json", command, str(path)]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["exit"] == 2 and payload["error"]
+    assert "Traceback" not in captured.err
+
+
+def test_unknown_name_is_named_in_the_error(tmp_path, capsys):
+    path = tmp_path / "unknown.cov"
+    path.write_text(INVALID_FRAMES["unknown-name"], encoding="utf-8")
+    main(["points", str(path)])
+    assert "unknown element" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("judgment,derivable", [("1 {0}", True), ("1 {}", False)])
+def test_entail_proof_saturates_once(judgment, derivable, monkeypatch, capsys):
+    from locfine import formal
+    calls = []
+    saturate_judgments = formal._saturate_judgments
+
+    def counted(p):
+        calls.append(p)
+        return saturate_judgments(p)
+
+    monkeypatch.setattr(formal, "_saturate_judgments", counted)
+    argv = ["entail", fx("formal_meet.cov"), "--judgment", judgment, "--proof"]
+    assert main(argv) == (0 if derivable else 1)
+    out = capsys.readouterr().out
+    assert f"derivable: {str(derivable).lower()}" in out
+    assert ("proof:" in out) == derivable
+    assert len(calls) == 1
 
 
 def test_game_strategy_json_round(capsys):

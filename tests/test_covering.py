@@ -8,9 +8,12 @@ from locfine.carrier import (
     Preorder,
     SubsetCarrier,
     all_canonical_covers,
+    fold_meet,
     meet_cover,
     normalize,
     refines,
+    restrict,
+    sorted_members,
 )
 from locfine.covering import (
     CoveringMonoid,
@@ -31,7 +34,9 @@ from locfine.covering import (
     witness_tree,
 )
 from locfine.errors import CarrierMismatchError
+from locfine.formal import FormalPresentation, Judgment, covers_of_unit
 from locfine.frames import space_discrete
+from test_acceptance import CORPUS, _commutative_monoids_up_to, random_monoid
 
 f = frozenset
 
@@ -342,6 +347,111 @@ class TestWitness:
         m = CoveringMonoid(c4_preorder, (f({"b", "c"}),))
         with pytest.raises(CarrierMismatchError):
             witness_tree(m, f({"b", "c"}))
+
+
+def _reference_depth_member(m, v, depth):
+    """Noetherian trees of depth <= depth with basis-restriction covers,
+    searched directly over the monoid (the former ``rank`` engine)."""
+    c = m.carrier
+    v = normalize(v, c)
+    memo = {}
+
+    def restrict_to(cover, piece):
+        if isinstance(c, SubsetCarrier):
+            return restrict(cover, piece, c)
+        return meet_cover(cover, f([piece]), c)
+
+    def dec(piece, d):
+        key = (piece, d)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if any(c.le(piece, t) for t in v):
+            memo[key] = True
+            return True
+        if d == 0:
+            memo[key] = False
+            return False
+        for b in m.basis:
+            pieces = restrict_to(b, piece)
+            if pieces and all(dec(q, d - 1) for q in sorted_members(pieces, c)):
+                memo[key] = True
+                return True
+        memo[key] = False
+        return False
+
+    return dec(c.rep(c.top) if isinstance(c, Preorder) else c.top, depth)
+
+
+def _reference_rank(m):
+    """The first alpha whose depth-(alpha + 1) search reaches the meet."""
+    target = fold_meet(m.basis, m.carrier)
+    alpha = 0
+    while True:
+        if _reference_depth_member(m, target, alpha + 1):
+            return alpha
+        alpha += 1
+        if alpha > len(m.basis):
+            raise AssertionError("derivative sequence failed to stabilize")
+
+
+def _rank_or_unstable(rank_fn, m):
+    try:
+        return rank_fn(m)
+    except AssertionError:
+        return "unstable"
+
+
+def _random_preorder_monoids(rng, count):
+    """Monoids of covers over random preorders on <= 5 elements with top t."""
+    out = []
+    while len(out) < count:
+        names = ["a", "b", "c", "d"][:rng.randint(1, 4)] + ["t"]
+        edges = {(x, "t") for x in names}
+        edges |= {(x, y) for x in names for y in names if rng.random() < 0.25}
+        try:
+            p = Preorder.from_edges(names, edges, "t")
+        except ValueError:
+            continue
+        covers = [u for u in all_canonical_covers(p) if u]
+        basis = tuple(rng.choice(covers) for _ in range(rng.randint(1, 3)))
+        out.append(CoveringMonoid(p, basis))
+    return out
+
+
+class TestRankMatchesReference:
+    """``rank`` reads the depth of the shallowest ``bounded_member`` tree;
+    it must agree with the direct depth-by-depth search it replaced."""
+
+    def test_random_subset_monoids(self):
+        # the acceptance corpus reaches rank 1; 1500 more seeds reach rank 2
+        corpus = CORPUS + [random_monoid(random.Random(5000 + i))
+                           for i in range(1500)]
+        ranks = [rank(m) for m in corpus]
+        assert ranks == [_reference_rank(m) for m in corpus]
+        assert set(ranks) == {0, 1, 2}
+
+    def test_covers_of_unit_up_to_4_elements(self):
+        checked = 0
+        for elems, unit, table in _commutative_monoids_up_to(4):
+            base = FormalPresentation(elems, unit, table)
+            presentations = [base] + [
+                FormalPresentation(elems, unit, table, (Judgment(unit, u),))
+                for u in base.all_covers() if u and len(elems) <= 3]
+            for p in presentations:
+                m = covers_of_unit(p)
+                assert _rank_or_unstable(rank, m) == \
+                    _rank_or_unstable(_reference_rank, m)
+                checked += 1
+        assert checked > 27
+
+    def test_random_preorder_monoids(self):
+        outcomes = set()
+        for m in _random_preorder_monoids(random.Random(23), 600):
+            got = _rank_or_unstable(rank, m)
+            assert got == _rank_or_unstable(_reference_rank, m)
+            outcomes.add(got)
+        assert "unstable" in outcomes and len(outcomes) > 2
 
 
 class TestBoundedMember:

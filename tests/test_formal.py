@@ -4,7 +4,9 @@ import os
 
 import pytest
 from test_acceptance import _commutative_monoids_up_to
+from test_carrier import _doubling_subsets
 
+from locfine.carrier import normalize
 from locfine.cli import parse_structure
 from locfine.covering import is_locally_fine, member, saturate
 from locfine.formal import (
@@ -123,6 +125,9 @@ class TestPresentation:
         elems, mul = meet_semilattice
         with pytest.raises(ValueError):
             FormalPresentation(elems, "1", mul, (Judgment("z", f({"b"})),))
+
+    def test_all_covers_by_size_then_lexicographic(self, rule4_fixture):
+        assert rule4_fixture.all_covers() == _doubling_subsets(rule4_fixture.elements)
 
     def test_unit_products_filled_in(self, meet_semilattice):
         elems, mul = meet_semilattice

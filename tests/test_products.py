@@ -16,6 +16,7 @@ from locfine.covering import (
     member,
     saturate,
 )
+from locfine.errors import LimitExceededError
 from locfine.frames import (
     boolean_frame_2,
     chain_frame,
@@ -63,6 +64,14 @@ class TestProductMonoid:
         p = product_monoid([m, m])
         rect = f(f({name}) for name in ("0,0", "0,1", "1,0", "1,1"))
         assert rect in set(p.basis)
+
+    def test_guard_counts_every_nonempty_meet(self):
+        # two factors of two basis covers: four pullbacks, 15 nonempty meets
+        c = SubsetCarrier(["0", "1", "2"])
+        m = CoveringMonoid(c, (cov("0", "12"), cov("01", "2")))
+        assert product_monoid([m, m], max_basis=15).basis
+        with pytest.raises(LimitExceededError, match="exceed 14 meets"):
+            product_monoid([m, m], max_basis=14)
 
     def test_trivial_factor_absorbed(self):
         c = SubsetCarrier(["0", "1"])
