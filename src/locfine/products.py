@@ -54,25 +54,14 @@ def product_points(point_sets):
 
 
 def product_space(spaces) -> SpaceDescription:
-    """The product topology, by closing rectangle opens under union."""
+    """The product topology: every union of a set of rectangle opens."""
     for s in spaces:
         s.validate()
     names, _ = product_points([s.points for s in spaces])
-    rects = set()
-    for opens in iproduct(*[sorted(s.opens, key=lambda o: tuple(sorted(o)))
-                            for s in spaces]):
-        rects.add(frozenset(",".join(c) for c in iproduct(*[sorted(o) for o in opens])))
-    opens = set(rects)
-    opens.add(frozenset())
-    changed = True
-    while changed:
-        changed = False
-        for a in list(opens):
-            for b in list(opens):
-                u = a | b
-                if u not in opens:
-                    opens.add(u)
-                    changed = True
+    opens = {frozenset()}
+    for rect in iproduct(*[s.opens for s in spaces]):
+        r = frozenset(",".join(c) for c in iproduct(*rect))
+        opens |= {o | r for o in opens}
     return SpaceDescription(frozenset(names), frozenset(opens))
 
 

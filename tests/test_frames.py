@@ -1,12 +1,15 @@
 """Frames of finite spaces, points, spatiality, isomorphism."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
+from locfine.carrier import reflexive_transitive_closure, subsets
 from locfine.errors import InvalidTopologyError
 from locfine.frames import (
     Frame,
+    Point,
     SpaceDescription,
     boolean_frame_2,
     chain_frame,
@@ -23,6 +26,7 @@ from locfine.frames import (
     space_six_opens,
     validate_frame,
 )
+from locfine.products import product_space
 
 f = frozenset
 
@@ -252,3 +256,267 @@ def test_finite_t0_spaces_are_sober():
             mo = s.min_open(p)
             expected.add(f(x for x in fr.elements if p in fr.meaning(x)))
         assert filters == expected
+
+
+class TestFrameConstruction:
+    def test_unknown_name_in_relation_rejected(self):
+        with pytest.raises(ValueError, match="relation mentions unknown element"):
+            Frame(["0", "1"], {("0", "1"), ("1", "z")})
+
+    def test_bounds_without_bottom_or_top(self):
+        fr = Frame(["a", "b"], set())
+        assert fr.bottom is None and fr.top is None
+        assert fr.big_join(["a"]) == "a" and fr.big_meet(["b"]) == "b"
+        assert fr.big_join(["a", "b"]) is None and fr.big_meet(["a", "b"]) is None
+        assert fr.big_join([]) is None and fr.big_meet([]) is None
+
+    def test_bounds_on_a_cycle(self):
+        # a and b are both least upper bounds of {a}: neither is *the* join
+        fr = Frame(["a", "b"], {("a", "b"), ("b", "a")})
+        for xs in ([], ["a"], ["b"], ["a", "b"]):
+            assert fr.big_join(xs) is None and fr.big_meet(xs) is None
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: Frame's up-set lookups against the search they replaced
+# ---------------------------------------------------------------------------
+
+class _ReferenceFrame:
+    """Join and meet tables filled by searching the common bounds of each
+    pair; big joins and meets folded from the bottom and top."""
+
+    def __init__(self, elements, le_pairs):
+        self.elements = tuple(sorted(set(elements)))
+        names = set(self.elements)
+        rel = {(a, b) for (a, b) in le_pairs if a in names and b in names}
+        for a in names:
+            rel.add((a, a))
+        self.le_set = frozenset(rel)
+        self._down = {x: frozenset(y for y in self.elements if (y, x) in rel)
+                      for x in self.elements}
+        self._up = {x: frozenset(y for y in self.elements if (x, y) in rel)
+                    for x in self.elements}
+        self.bottom = self._unique_extremum(min_side=True)
+        self.top = self._unique_extremum(min_side=False)
+        self.join_table = {}
+        self.meet_table = {}
+        for a in self.elements:
+            for b in self.elements:
+                self.join_table[(a, b)] = self._bound(a, b, upper=True)
+                self.meet_table[(a, b)] = self._bound(a, b, upper=False)
+
+    def _unique_extremum(self, min_side):
+        side = self._down if min_side else self._up
+        cands = [x for x in self.elements if len(side[x]) == 1]
+        full = [x for x in cands
+                if all((x, y) in self.le_set if min_side else (y, x) in self.le_set
+                       for y in self.elements)]
+        return full[0] if len(full) == 1 else None
+
+    def _bound(self, a, b, upper):
+        if upper:
+            common = self._up[a] & self._up[b]
+            best = [x for x in common
+                    if all((x, y) in self.le_set for y in common)]
+        else:
+            common = self._down[a] & self._down[b]
+            best = [x for x in common
+                    if all((y, x) in self.le_set for y in common)]
+        return best[0] if len(best) == 1 else None
+
+    def le(self, a, b):
+        return (a, b) in self.le_set
+
+    def join(self, a, b):
+        return self.join_table[(a, b)]
+
+    def meet(self, a, b):
+        return self.meet_table[(a, b)]
+
+    def big_join(self, xs):
+        acc = self.bottom
+        for x in xs:
+            acc = self.join_table[(acc, x)]
+            if acc is None:
+                return None
+        return acc
+
+    def big_meet(self, xs):
+        acc = self.top
+        for x in xs:
+            acc = self.meet_table[(acc, x)]
+            if acc is None:
+                return None
+        return acc
+
+    def is_lattice(self):
+        return (self.bottom is not None and self.top is not None
+                and None not in self.join_table.values()
+                and None not in self.meet_table.values())
+
+
+def _reference_subset_heyting(ref):
+    """The Heyting law checked against every subset of the elements."""
+    out = []
+    for x in ref.elements:
+        for sub in subsets(ref.elements):
+            lhs = ref.meet(x, ref.big_join(sub))
+            rhs = ref.big_join(ref.meet(x, y) for y in sub)
+            if lhs != rhs:
+                out.append(f"Heyting law fails on subset {list(sub)} at {x}")
+    return out
+
+
+def _reference_validate(ref, exhaustive_limit=10):
+    """validate_frame as it was, with the subset pass on small frames."""
+    out = []
+    elems = ref.elements
+    le_pairs = sorted(ref.le_set)
+    for a, b in le_pairs:
+        if (b, a) in ref.le_set and a != b:
+            out.append(f"antisymmetry fails: {a} and {b} are mutually below each other")
+    for a, b in le_pairs:
+        for c in elems:
+            if (b, c) in ref.le_set and (a, c) not in ref.le_set:
+                out.append(f"transitivity fails: {a} <= {b} <= {c}")
+    if ref.bottom is None:
+        out.append("no bottom element")
+    if ref.top is None:
+        out.append("no top element")
+    for a in elems:
+        for b in elems:
+            if ref.join_table[(a, b)] is None:
+                out.append(f"join of {a} and {b} does not exist")
+            if ref.meet_table[(a, b)] is None:
+                out.append(f"meet of {a} and {b} does not exist")
+    if out:
+        return tuple(out)
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                lhs = ref.meet(x, ref.join(y, z))
+                rhs = ref.join(ref.meet(x, y), ref.meet(x, z))
+                if lhs != rhs:
+                    out.append(
+                        f"Heyting law fails: {x} /\\ ({y} \\/ {z}) = {lhs} "
+                        f"but ({x} /\\ {y}) \\/ ({x} /\\ {z}) = {rhs}")
+    if not out and len(elems) <= exhaustive_limit:
+        out += _reference_subset_heyting(ref)
+    return tuple(out)
+
+
+def _reference_points(ref):
+    """Join-prime elements found by testing every pair's join."""
+    out = []
+    for q in ref.elements:
+        if q == ref.bottom:
+            continue
+        prime = True
+        for x in ref.elements:
+            for y in ref.elements:
+                if ref.le(q, ref.join(x, y)) and not (ref.le(q, x) or ref.le(q, y)):
+                    prime = False
+                    break
+            if not prime:
+                break
+        if prime:
+            out.append(Point(least=q, filter=ref._up[q]))
+    return tuple(out)
+
+
+def _reference_is_spatial(ref):
+    pts = _reference_points(ref)
+    seen = {}
+    for x in ref.elements:
+        ext = frozenset(p for p in pts if x in p.filter)
+        if ext in seen:
+            return False, (seen[ext], x)
+        seen[ext] = x
+    return True, None
+
+
+def _compare_with_reference(fr, max_subset=None):
+    """Assert that fr answers as the search-based frame does; return
+    (is a lattice, passes validation) for corpus bookkeeping."""
+    ref = _ReferenceFrame(fr.elements, fr.le_set)
+    assert (fr.bottom, fr.top) == (ref.bottom, ref.top)
+    for a, b in product(fr.elements, repeat=2):
+        assert fr.join(a, b) == ref.join(a, b), (a, b)
+        assert fr.meet(a, b) == ref.meet(a, b), (a, b)
+    report = validate_frame(fr)
+    # On up to 10 elements the reference adds the subset Heyting pass once
+    # binary distributivity holds, so equal reports show that pass finds
+    # nothing on any lattice validate_frame accepts.
+    assert report.violations == _reference_validate(ref)
+    if not ref.is_lattice():
+        return False, report.ok
+    for sub in subsets(fr.elements):
+        if max_subset is not None and len(sub) > max_subset:
+            break
+        assert fr.big_join(sub) == ref.big_join(sub), sub
+        assert fr.big_meet(sub) == ref.big_meet(sub), sub
+    assert points_of(fr) == _reference_points(ref)
+    assert is_spatial(fr) == _reference_is_spatial(ref)
+    return True, report.ok
+
+
+def _transitive_relations(n):
+    """Every reflexive, transitive relation on n named elements."""
+    names = "abcd"[:n]
+    pairs = [(a, b) for a in names for b in names if a != b]
+    for bits in range(2 ** len(pairs)):
+        rel = {p for i, p in enumerate(pairs) if bits >> i & 1}
+        rel |= {(a, a) for a in names}
+        if all((a, c) in rel for (a, b) in rel for (b2, c) in rel if b == b2):
+            yield Frame(names, rel)
+
+
+def _n5():
+    le = {("0", "a"), ("0", "b"), ("b", "c"), ("a", "1"), ("c", "1")}
+    names = ["0", "a", "b", "c", "1"]
+    return Frame(names, reflexive_transitive_closure(names, le))
+
+
+def _random_posets(count, seed):
+    """Random posets on 5-7 elements; about half get a bottom and a top."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 7)
+        names = rng.sample("abcdefg", n)
+        density = rng.random()
+        edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        if rng.random() < 0.5:
+            edges += [(names[0], x) for x in names[1:]]
+            edges += [(x, names[-1]) for x in names[:-1]]
+        yield Frame(names, reflexive_transitive_closure(names, edges))
+
+
+class TestMatchesSearchReference:
+    def test_every_transitive_relation_up_to_four_elements(self):
+        frames = [fr for n in range(1, 5) for fr in _transitive_relations(n)]
+        assert len(frames) == 389
+        verdicts = [_compare_with_reference(fr) for fr in frames]
+        assert sum(lat for lat, _ in verdicts) == 45  # labelled lattices
+
+    def test_random_posets_with_n5_and_m3(self):
+        frames = [_n5(), diamond_m3()] + list(_random_posets(3000, seed=11))
+        verdicts = [_compare_with_reference(fr) for fr in frames]
+        lattices = [ok for lat, ok in verdicts if lat]
+        # the corpus must exercise both sides of every verdict
+        assert len(lattices) > 1000
+        assert lattices.count(False) > 500 and lattices.count(True) > 500
+        assert not verdicts[0][1] and not verdicts[1][1]
+
+    @pytest.mark.parametrize("a,b", [
+        ("point", "point"), ("point", "sierpinski"), ("sierpinski", "sierpinski"),
+        ("sierpinski", "discrete2"), ("discrete2", "discrete2"),
+        ("sierpinski", "chain3"), ("discrete2", "chain3"), ("chain3", "chain3"),
+    ])
+    def test_product_space_frames(self, a, b):
+        spaces = {"point": space_one_point(), "sierpinski": space_sierpinski(),
+                  "discrete2": space_discrete("pq"), "chain3": space_chain3()}
+        fr = frame_from_space(product_space([spaces[a], spaces[b]]))
+        # every subset up to 10 elements, subsets of at most 3 beyond
+        limit = None if len(fr) <= 10 else 3
+        assert _compare_with_reference(fr, max_subset=limit) == (True, True)

@@ -1,5 +1,7 @@
 """Products, generated locales, coproducts, and the product theorems."""
 
+from itertools import product as iproduct
+
 import pytest
 
 from locfine.carrier import (
@@ -37,6 +39,7 @@ from locfine.products import (
     embed_phi_check,
     locale_from_cov,
     product_monoid,
+    product_points,
     product_space,
     rect_basis_check,
     spatial_product_eq,
@@ -325,3 +328,36 @@ def test_product_monoid_restricted_to_top_pairs_is_preuniform_product():
             pulled = normalize(
                 pullback_cover(b, i, [s1.carrier.points, s2.carrier.points]), pc)
             assert member(p, pulled, use_lambda=False)
+
+
+def _reference_product_space(spaces):
+    """The product topology by closing the rectangles under pairwise union."""
+    names, _ = product_points([s.points for s in spaces])
+    rects = set()
+    for opens in iproduct(*[sorted(s.opens, key=lambda o: tuple(sorted(o)))
+                            for s in spaces]):
+        rects.add(frozenset(",".join(c) for c in iproduct(*[sorted(o) for o in opens])))
+    opens = set(rects)
+    opens.add(frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for a in list(opens):
+            for b in list(opens):
+                u = a | b
+                if u not in opens:
+                    opens.add(u)
+                    changed = True
+    return names, frozenset(opens)
+
+
+@pytest.mark.parametrize("factors", [
+    ("chain3", "chain3"), ("six", "six"), ("discrete2",) * 3,
+    ("chain3", "chain3", "sierpinski"), ("chain3",) * 3,
+], ids="x".join)
+def test_product_space_matches_pairwise_union_closure(factors):
+    spaces = dict(SPACES, six=space_six_opens())
+    got = product_space([spaces[k] for k in factors])
+    names, opens = _reference_product_space([spaces[k] for k in factors])
+    assert got.points == frozenset(names)
+    assert got.opens == opens
