@@ -4,8 +4,10 @@ Player I repeatedly plays a monoid cover restricted to the current piece;
 Player II selects a member not inside any target member.  Player II wins
 infinite plays, so Player I's winning region is a least fixpoint: a piece
 wins at rank 0 when it sits inside a target member, and at rank k+1 when
-some basis cover traces on it to pieces of rank at most k.  The stationary
-strategy plays, at each winning piece, the least such trace.
+some basis cover traces on it to pieces of rank at most k.  A useful trace
+on a piece consists of strict subsets of it, so one pass over the pieces by
+size reaches the fixpoint.  The stationary strategy plays, at each winning
+piece, the least trace of least rank.
 """
 
 from __future__ import annotations
@@ -60,45 +62,31 @@ def _dominated(piece, target):
 
 def solve(g: GameSpec) -> GameResult:
     """Compute Player I's winning region and, if the start is in it, a
-    stationary winning strategy."""
+    stationary winning strategy.
+
+    One pass over the pieces in size order suffices: the trace of a basis
+    cover on a piece p is either {p}, which can never help, or made only of
+    strict subsets of p, whose ranks are already final.  So each rank, and
+    the least move reaching it, is final when it is assigned.
+    """
     c = g.monoid.carrier
-    pieces = list(c.elements())
     ranks = {}
-    for p in pieces:
+    moves = {}
+    for p in c.elements():
         if _dominated(p, g.target):
             ranks[p] = 0
-    changed = True
-    while changed:
-        changed = False
-        for p in pieces:
-            if p in ranks:
-                continue
-            best = None
-            for b in g.monoid.basis:
-                tr = restrict(b, p, c)
-                sub = [ranks.get(q) for q in tr]
-                if all(r is not None for r in sub):
-                    depth = 1 + max(sub, default=0)
-                    if best is None or depth < best:
-                        best = depth
-            if best is not None:
-                ranks[p] = best
-                changed = True
+            continue
+        options = []
+        for b in g.monoid.basis:
+            tr = restrict(b, p, c)
+            if all(q in ranks for q in tr):
+                depth = 1 + max((ranks[q] for q in tr), default=0)
+                options.append((depth, cover_key(tr, c), tr))
+        if options:
+            ranks[p], _, moves[p] = min(options)
     winning = frozenset(ranks)
     if g.start not in winning:
         return GameResult(Player.II, winning)
-    moves = {}
-    for p in sorted(winning, key=c.key):
-        if _dominated(p, g.target):
-            continue
-        candidates = []
-        for b in g.monoid.basis:
-            tr = restrict(b, p, c)
-            sub = [ranks.get(q) for q in tr]
-            if all(r is not None for r in sub) and 1 + max(sub, default=0) == ranks[p]:
-                candidates.append(tr)
-        candidates.sort(key=lambda u: cover_key(u, c))
-        moves[p] = candidates[0]
     return GameResult(Player.I, winning, Strategy(moves))
 
 

@@ -7,7 +7,8 @@ replaces one coordinate of a by a family join-dominating it), close under
 C1-C4, and quotient subsets of the product by mutual covering.  Equivalence
 classes are represented by their saturation sat(U) = {b : Cov(b, U)}, which
 is canonical because U <= V holds exactly when sat(U) is contained in
-sat(V).
+sat(V).  Since sat(U | {b}) depends only on sat(U) (transitivity, C4), the
+classes are found by folding in one product element at a time.
 
 For product carriers the C1-C4 closure is computed lazily and goal-directed:
 for a fixed target cover, the derivable subjects form a least fixpoint under
@@ -254,34 +255,21 @@ def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
     """Coproduct of finite frames via the generated locale.
 
     Returns the locale together with the embedding of the weak product into
-    it.  Locale elements are generated from the singleton saturations by
-    closing under joins.
+    it.  Every locale element is the saturation of a set of product
+    elements, so the elements are reached from sat(empty) by adding one
+    product element at a time.  By transitivity (C4), sat(U | {b}) depends
+    only on sat(U), so one representative per saturation suffices; and when
+    b is already in sat(U), U | {b} and U cover each other, so that step is
+    skipped.
     """
     coverage = ProductCoverage(fs, max_covers=max_covers)
     carrier = coverage.carrier
-    sats = {}
-
-    def note(satset, rep):
-        if satset not in sats:
-            sats[satset] = normalize(rep, carrier)
-            return True
-        return False
-
-    note(coverage.derivable_set(frozenset()), frozenset())
+    sats = {coverage.derivable_set(frozenset()): frozenset()}
     for b in carrier.class_reps():
-        note(coverage.derivable_set(frozenset([b])), frozenset([b]))
-    frontier = list(sats)
-    while frontier:
-        items = list(sats.items())
-        new_frontier = []
-        for s1 in frontier:
-            r1 = sats[s1]
-            for s2, r2 in items:
-                u = normalize(r1 | r2, carrier)
-                satu = coverage.derivable_set(u)
-                if note(satu, u):
-                    new_frontier.append(satu)
-        frontier = new_frontier
+        for s, rep in list(sats.items()):
+            if b not in s:
+                u = normalize(rep | {b}, carrier)
+                sats.setdefault(coverage.derivable_set(u), u)
         if len(sats) > max_covers:
             raise LimitExceededError("coproduct locale exceeded the size guard")
     locale = _locale_from_sats(carrier, coverage, sats)

@@ -67,6 +67,22 @@ def test_scan_guard_exceeded_exits_3():
     assert main(["--max-scan", "4", "saturate", fx("c4_covrel.cov")]) == 3
 
 
+def test_coproduct_size_guard_exits_3_at_its_boundary(capsys):
+    # the Sierpinski-square coproduct has 6 elements
+    argv = ["coproduct", fx("sierpinski_space.cov"), fx("sierpinski_space.cov")]
+    assert main(["--max-scan", "5"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("limit exceeded: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["--json", "--max-scan", "5"] + argv) == 3
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["exit"] == 3 and payload["error"]
+    assert "Traceback" not in captured.err
+    assert main(["--max-scan", "6"] + argv) == 0
+    assert "coproduct frame: 6 elements" in capsys.readouterr().out
+
+
 def test_spatial_text_output(capsys):
     main(["spatial", fx("sierpinski_space.cov")])
     out = capsys.readouterr().out

@@ -4,12 +4,20 @@ import random
 
 import pytest
 
-from locfine.carrier import SubsetCarrier, all_canonical_covers, restrict
+from locfine.carrier import (
+    SubsetCarrier,
+    all_canonical_covers,
+    cover_key,
+    fold_meet,
+    restrict,
+)
 from locfine.covering import CoveringMonoid, check_witness, member, rank
 from locfine.errors import NoStrategyError
 from locfine.game import (
+    GameResult,
     GameSpec,
     Player,
+    Strategy,
     extract_strategy,
     replay,
     solve,
@@ -193,3 +201,105 @@ class TestWitnessRoundTrip:
                 tr = restrict(b, p, c3)
                 assert any(q not in res.winning_set and
                            not any(q <= t for t in v) for q in tr)
+
+
+def _reference_solve(g):
+    """The winning region by sweeping every piece until no rank changes,
+    then each move by re-restricting every basis cover on each winning
+    piece."""
+    c = g.monoid.carrier
+
+    def dominated(piece):
+        return any(piece <= t for t in g.target)
+
+    pieces = list(c.elements())
+    ranks = {}
+    for p in pieces:
+        if dominated(p):
+            ranks[p] = 0
+    changed = True
+    while changed:
+        changed = False
+        for p in pieces:
+            if p in ranks:
+                continue
+            best = None
+            for b in g.monoid.basis:
+                tr = restrict(b, p, c)
+                sub = [ranks.get(q) for q in tr]
+                if all(r is not None for r in sub):
+                    depth = 1 + max(sub, default=0)
+                    if best is None or depth < best:
+                        best = depth
+            if best is not None:
+                ranks[p] = best
+                changed = True
+    winning = frozenset(ranks)
+    if g.start not in winning:
+        return GameResult(Player.II, winning)
+    moves = {}
+    for p in sorted(winning, key=c.key):
+        if dominated(p):
+            continue
+        candidates = []
+        for b in g.monoid.basis:
+            tr = restrict(b, p, c)
+            sub = [ranks.get(q) for q in tr]
+            if all(r is not None for r in sub) and 1 + max(sub, default=0) == ranks[p]:
+                candidates.append(tr)
+        candidates.sort(key=lambda u: cover_key(u, c))
+        moves[p] = candidates[0]
+    return GameResult(Player.I, winning, Strategy(moves))
+
+
+def _random_cover(rng, pts, fewest):
+    """A cover of ``pts`` with 1-4 members, each point in one or two."""
+    members = [set() for _ in range(rng.randint(fewest, 4))]
+    for x in pts:
+        for i in rng.sample(range(len(members)), min(rng.randint(1, 2), len(members))):
+            members[i].add(x)
+    return f(f(m) for m in members if m)
+
+
+def _random_games(seed, count):
+    """Games on 1-8 points with 0-3 basis covers.  The target is the meet of
+    the basis (so Player I often needs several moves), a random cover, or a
+    few random pieces, and may be empty; the start may be any piece."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pts = [str(i) for i in range(rng.randint(1, 8))]
+        c = SubsetCarrier(pts)
+        basis = [_random_cover(rng, pts, 2) for _ in range(rng.randint(0, 3))]
+        mode = rng.randrange(3)
+        if mode == 0:
+            target = fold_meet(basis, c) if basis else f()
+        elif mode == 1:
+            target = _random_cover(rng, pts, 1)
+        else:
+            target = f(f(x for x in pts if rng.random() < 0.5)
+                       for _ in range(rng.randint(0, 3)))
+        start = (f(x for x in pts if rng.random() < 0.7)
+                 if rng.random() < 0.5 else None)
+        yield GameSpec(CoveringMonoid(c, tuple(basis)), target, start)
+
+
+def test_solve_matches_sweep_until_stable_reference():
+    seen = {"I": 0, "II": 0, "empty target": 0, "non-top start won": 0,
+            "two-move plays": 0}
+    for g in _random_games(41, 400):
+        got, want = solve(g), _reference_solve(g)
+        assert got.winner is want.winner
+        assert got.winning_set == want.winning_set
+        if want.winner is Player.II:
+            assert got.strategy is None
+            seen["II"] += 1
+            continue
+        moves = got.strategy.moves
+        assert moves == want.strategy.moves
+        seen["I"] += 1
+        seen["empty target"] += not g.target
+        seen["non-top start won"] += g.start != g.monoid.carrier.top
+        seen["two-move plays"] += any(q in moves for u in moves.values() for q in u)
+    # the corpus reaches both winners, empty targets, non-top starts and
+    # strategies that move again after their first move
+    assert all(seen.values()), seen

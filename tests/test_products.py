@@ -33,7 +33,9 @@ from locfine.frames import (
     validate_frame,
 )
 from locfine.products import (
+    EmbeddingPhi,
     ProductCoverage,
+    _locale_from_sats,
     canonical_cov,
     coproduct_frames,
     embed_phi_check,
@@ -361,3 +363,70 @@ def test_product_space_matches_pairwise_union_closure(factors):
     names, opens = _reference_product_space([spaces[k] for k in factors])
     assert got.points == frozenset(names)
     assert got.opens == opens
+
+
+def _reference_coproduct_frames(fs, max_covers=5000):
+    """The coproduct locale by closing the singleton saturations under
+    pairwise joins, frontier against every element found so far."""
+    coverage = ProductCoverage(fs, max_covers=max_covers)
+    carrier = coverage.carrier
+    sats = {}
+
+    def note(satset, rep):
+        if satset not in sats:
+            sats[satset] = normalize(rep, carrier)
+            return True
+        return False
+
+    note(coverage.derivable_set(frozenset()), frozenset())
+    for b in carrier.class_reps():
+        note(coverage.derivable_set(frozenset([b])), frozenset([b]))
+    frontier = list(sats)
+    while frontier:
+        items = list(sats.items())
+        new_frontier = []
+        for s1 in frontier:
+            r1 = sats[s1]
+            for s2, r2 in items:
+                u = normalize(r1 | r2, carrier)
+                satu = coverage.derivable_set(u)
+                if note(satu, u):
+                    new_frontier.append(satu)
+        frontier = new_frontier
+        if len(sats) > max_covers:
+            raise LimitExceededError("coproduct locale exceeded the size guard")
+    locale = _locale_from_sats(carrier, coverage, sats)
+    phi = EmbeddingPhi({
+        b: locale.label_of(coverage.derivable_set(frozenset([b])))
+        for b in carrier.class_reps()})
+    return locale, phi
+
+
+COPRODUCT_SHAPES = [(a, b) for a in sorted(SPACES) + ["six"]
+                    for b in sorted(SPACES) + ["six"]] + [
+    ("chain3", "sierpinski", "sierpinski"),
+    ("chain3", "discrete2", "sierpinski"),
+    ("chain3", "chain3", "sierpinski"),
+]
+
+
+@pytest.mark.parametrize("factors", COPRODUCT_SHAPES, ids="x".join)
+def test_coproduct_matches_pairwise_join_closure(factors):
+    spaces = dict(SPACES, six=space_six_opens())
+    frames = [frame_from_space(spaces[k]) for k in factors]
+    loc, phi = coproduct_frames(frames)
+    ref, ref_phi = _reference_coproduct_frames(frames)
+    assert loc.frame.elements == ref.frame.elements
+    assert loc.frame.le_set == ref.frame.le_set
+    assert phi.assignments == ref_phi.assignments
+    # the fold may pick other representatives, but each presents its element
+    for x in loc.frame.elements:
+        assert loc.cov.derivable_set(loc.reps[x]) == loc.frame.meaning(x)
+
+
+def test_coproduct_size_guard_boundary():
+    frames = [frame_from_space(space_sierpinski())] * 2
+    with pytest.raises(LimitExceededError):
+        coproduct_frames(frames, max_covers=5)
+    loc, _ = coproduct_frames(frames, max_covers=6)
+    assert len(loc.frame) == 6
