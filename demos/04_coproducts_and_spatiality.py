@@ -32,8 +32,9 @@ print("  report:", embed_phi_check(loc, phi) or "empty")
 
 d = space_discrete("pq")
 print("\nEvery geometric cover of a box is refined by a derivable box cover")
-print("(three discrete factors, via the atomistic reduction):")
-print("  report:", rect_basis_check([d, d, d], max_covers=3000) or "empty")
+print("(three discrete factors; checked on the 256-element coproduct locale,")
+print("where no two elements may denote the same open):")
+print("  report:", rect_basis_check([d, d, d]) or "empty")
 
 print("\nSpatiality of the localic product vs the closed product relation:")
 eq, report = spatial_product_eq([d, s])

@@ -31,7 +31,7 @@ Element = Union[str, frozenset]
 Cover = frozenset
 
 # Ceiling for canonical-cover enumeration; overridable per call.
-DEFAULT_MAX_COVERS = 200_000
+DEFAULT_MAX_COVERS = 5000
 
 
 class SubsetCarrier:

@@ -108,12 +108,15 @@ def parse_structure(text: str):
         raise ParseError(str(exc)) from exc
 
 
-def _rows_by(rows, key):
-    return [args for (k, args) in rows if k == key]
+def _rows_by(rows, key, arity=None):
+    got = [args for (k, args) in rows if k == key]
+    if arity is not None and any(len(args) != arity for args in got):
+        raise ParseError(f"each '{key}' line takes {arity} argument(s)")
+    return got
 
 
-def _one_row(rows, key, optional=False):
-    got = _rows_by(rows, key)
+def _one_row(rows, key, optional=False, arity=None):
+    got = _rows_by(rows, key, arity)
     if len(got) == 1:
         return got[0]
     if not got and optional:
@@ -123,13 +126,13 @@ def _one_row(rows, key, optional=False):
 
 def _parse_space(rows):
     points = frozenset(_name(t) for t in _one_row(rows, "points"))
-    opens = frozenset(_set_literal(args[0]) for args in _rows_by(rows, "open"))
+    opens = frozenset(_set_literal(args[0]) for args in _rows_by(rows, "open", 1))
     return SpaceDescription(points, opens)
 
 
 def _parse_frame(rows):
     elements = [_name(t) for t in _one_row(rows, "elements")]
-    edges = [tuple(_name(t) for t in args) for args in _rows_by(rows, "le")]
+    edges = [tuple(_name(t) for t in args) for args in _rows_by(rows, "le", 2)]
     return Frame(elements, reflexive_transitive_closure(elements, edges))
 
 
@@ -147,15 +150,15 @@ def _parse_monoid(rows):
 
 def _parse_preorder(rows):
     elements = [_name(t) for t in _one_row(rows, "elements")]
-    top = _name(_one_row(rows, "top")[0])
-    edges = [tuple(_name(t) for t in args) for args in _rows_by(rows, "le")]
+    top = _name(_one_row(rows, "top", arity=1)[0])
+    edges = [tuple(_name(t) for t in args) for args in _rows_by(rows, "le", 2)]
     return Preorder.from_edges(elements, edges, top)
 
 
 def _parse_covrel(rows):
     pre = _parse_preorder(rows)
     pairs = set()
-    for args in _rows_by(rows, "pair"):
+    for args in _rows_by(rows, "pair", 2):
         subject = _name(args[0])
         pairs.add((subject, frozenset(_name(n) for n in _set_literal(args[1]))))
     return CoveringRelation(pre, frozenset(pairs))
@@ -163,20 +166,20 @@ def _parse_covrel(rows):
 
 def _parse_formal(rows):
     elements = [_name(t) for t in _one_row(rows, "elements")]
-    unit = _name(_one_row(rows, "unit")[0])
+    unit = _name(_one_row(rows, "unit", arity=1)[0])
     mul = {}
-    for args in _rows_by(rows, "mul"):
+    for args in _rows_by(rows, "mul", 3):
         a, b, c = (_name(t) for t in args)
         mul[(a, b)] = c
     axioms = tuple(Judgment(_name(args[0]), _set_literal(args[1]))
-                   for args in _rows_by(rows, "axiom"))
+                   for args in _rows_by(rows, "axiom", 2))
     return FormalPresentation(tuple(elements), unit, mul, axioms)
 
 
 def _parse_game(rows):
     carrier, covers = _parse_monoid_parts(rows)
     target = frozenset(_set_literal(t) for t in _one_row(rows, "target"))
-    start_row = _one_row(rows, "start", optional=True)
+    start_row = _one_row(rows, "start", optional=True, arity=1)
     start = _set_literal(start_row[0]) if start_row else None
     return GameSpec(CoveringMonoid(carrier, covers), target, start)
 

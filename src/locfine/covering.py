@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from . import carrier as oc
 from .carrier import (
+    DEFAULT_MAX_COVERS,
     Cover,
     SubsetCarrier,
     all_canonical_covers,
@@ -39,10 +40,8 @@ from .carrier import (
     star_refines,
     subsets,
 )
-from .errors import CarrierMismatchError
+from .errors import CarrierMismatchError, LocfineError
 from .frames import SpaceDescription
-
-DEFAULT_MAX_COVERS = 5000
 
 
 @dataclass(frozen=True)
@@ -384,7 +383,9 @@ def rank(m: CoveringMonoid) -> int:
     tree = bounded_member(lazy_view(m), global_meet(m), len(m.basis) + 1,
                           start=c.top, le=c.le)
     if tree is None:
-        raise AssertionError("derivative sequence failed to stabilize")
+        if is_locally_fine(m):
+            return 0
+        raise LocfineError("derivative sequence failed to stabilize")
     return max(tree.depth() - 1, 0)
 
 
@@ -524,12 +525,14 @@ def induced_relation_holds(m: CoveringMonoid, piece, family) -> bool:
                for b in m.basis)
 
 
-def fine_monoid(space: SpaceDescription) -> CoveringMonoid:
+def fine_monoid(space: SpaceDescription,
+                max_covers: int = DEFAULT_MAX_COVERS) -> CoveringMonoid:
     """The monoid of all open covers of a finite space."""
     space.validate()
     c = SubsetCarrier(space.points)
     opens = sorted((o for o in space.opens if o), key=c.key)
-    covers = [anti for anti in oc.antichains(opens, lambda a, b: a <= b)
+    covers = [anti for anti in oc.antichains(opens, lambda a, b: a <= b,
+                                             max_count=max_covers)
               if frozenset().union(*anti) == space.points]
     if not space.points:
         covers = [frozenset()]

@@ -283,10 +283,6 @@ def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
 # The product theorems as executable reports
 # ---------------------------------------------------------------------------
 
-def _space_frames(spaces):
-    return [frame_from_space(s) for s in spaces]
-
-
 def _rects(factors, point_sets):
     """rect(b): the concrete open box each product element denotes."""
     names, combos = product_points(point_sets)
@@ -346,53 +342,56 @@ def embed_phi_check(locale: GeneratedLocale, phi: EmbeddingPhi,
     return report
 
 
+def _check_on_locale(spaces, max_covers):
+    """Compare the closed product relation with the geometric covering on
+    the coproduct locale.  With rect(b) the box b denotes, R(U) the union of
+    rect over U and rho(x) = R(meaning(x)), two things are checked:
+
+    (i) each split rule (b, kids) is sound, rect(b) <= R(kids).  The rules
+        include every single-coordinate step b <= b', so every derivable
+        pair is then geometrically true and rho(sat U) = R(U).
+    (ii) rho is injective on the locale.
+
+    Given (i), (ii) holds exactly when every geometric pair is derivable:
+    then sat(U) = {a : rect(a) <= R(U)} is fixed by rho(sat U); and if
+    rect(a) <= R(U), rho(sat(U | {a})) = rho(sat U), so a is in sat(U).
+    Without (i), an unsound split can collapse the locale and leave rho
+    injective.  Returns the locale, the unsound rules and the conflated
+    pairs (earlier, later) of locale elements.
+    """
+    factors = [frame_from_space(s) for s in spaces]
+    locale, _ = coproduct_frames(factors, max_covers=max_covers)
+    rect = _rects(factors, [s.points for s in spaces])
+
+    def union(bs):
+        return frozenset().union(*(rect[b] for b in bs))
+
+    unsound = []
+    for b in locale.carrier.class_reps():
+        for i, table in enumerate(locale.cov._splits):
+            for s in table[b[i]]:
+                kids = [b[:i] + (x,) + b[i + 1:] for x in s]
+                if not rect[b] <= union(kids):
+                    unsound.append((b, kids))
+    first = {}
+    conflated = []
+    for x in locale.frame.elements:
+        y = first.setdefault(union(locale.frame.meaning(x)), x)
+        if y != x:
+            conflated.append((y, x))
+    return locale, unsound, conflated
+
+
 def rect_basis_check(spaces, max_covers: int = DEFAULT_MAX_COVERS):
     """Every geometric cover of a box is refined by a derivable box cover.
 
-    Exhaustive over canonical covers of the product poset when the count
-    fits the guard; otherwise each subject is reduced to its finest
-    atomistic box cover (valid when atoms denote single points, e.g. for
-    discrete factors).
+    C3 with (a, {a}) turns a derivable (a, U) into a cover by the boxes
+    a /\\ x, which refine the finest box cover, so this says every geometric
+    pair is derivable: given sound splits, that rho is injective.
     """
-    factors = _space_frames(spaces)
-    coverage = ProductCoverage(factors, max_covers=max_covers)
-    carrier = coverage.carrier
-    rect = _rects(factors, [s.points for s in spaces])
-    elems = carrier.class_reps()
-    report = []
-    try:
-        covers = all_canonical_covers(carrier, max_count=max_covers)
-    except LimitExceededError:
-        covers = None
-    if covers is not None:
-        for a in elems:
-            for u in covers:
-                union = frozenset().union(*(rect[x] for x in u)) if u else frozenset()
-                if not rect[a] <= union:
-                    continue
-                finest = normalize(
-                    frozenset(b for b in elems
-                              if carrier.le(b, a) and
-                              any(rect[b] <= rect[x] for x in u)), carrier)
-                if not coverage.holds(a, finest):
-                    report.append(
-                        f"no rectangular refinement derivable for "
-                        f"({a}, cover of size {len(u)})")
-        return report
-    for a in elems:
-        below = [b for b in elems if carrier.le(b, a) and rect[b]]
-        atoms = [b for b in below
-                 if not any(b2 != b and carrier.le(b2, b) and rect[b2] for b2 in below)]
-        atom_union = frozenset().union(*(rect[b] for b in atoms)) if atoms else frozenset()
-        applicable = (all(len(rect[b]) == 1 for b in atoms)
-                      and atom_union == rect[a])
-        if not applicable:
-            raise LimitExceededError(
-                "exhaustive cover scan too large and the atomistic reduction "
-                "does not apply")
-        if not coverage.holds(a, normalize(frozenset(atoms), carrier)):
-            report.append(f"finest box cover of {a} is not derivable")
-    return report
+    _, _, conflated = _check_on_locale(spaces, max_covers)
+    return [f"locale elements {x} and {y} denote the same open"
+            for x, y in conflated]
 
 
 def spatial_product_eq(spaces, max_covers: int = DEFAULT_MAX_COVERS):
@@ -402,27 +401,18 @@ def spatial_product_eq(spaces, max_covers: int = DEFAULT_MAX_COVERS):
         s.validate()
         if not s.is_t0:
             raise ValueError("spatial_product_eq needs T0 factors")
-    factors = _space_frames(spaces)
-    coverage = ProductCoverage(factors, max_covers=max_covers)
-    carrier = coverage.carrier
-    rect = _rects(factors, [s.points for s in spaces])
-    covers = all_canonical_covers(carrier, max_count=max_covers)
-    mismatches = 0
-    for u in covers:
-        union = frozenset().union(*(rect[x] for x in u)) if u else frozenset()
-        derived = coverage.derivable_set(u)
-        for a in carrier.class_reps():
-            geo = rect[a] <= union
-            if geo != (a in derived):
-                mismatches += 1
-    locale, _ = coproduct_frames(factors, max_covers=max_covers)
-    spatial, _ = is_spatial(locale.frame)
-    equal = mismatches == 0
+    locale, unsound, conflated = _check_on_locale(spaces, max_covers)
+    frame = locale.frame
+    pts = points_of(frame)
+    spatial = len({frozenset(p for p in pts if x in p.filter)
+                   for x in frame.elements}) == len(frame)
+    equal = not unsound and not conflated
     report = [
         f"closed product relation equals geometric covering: {str(equal).lower()}"
-        + ("" if equal else f" ({mismatches} mismatching pairs)"),
+        + ("" if equal else f" ({len(unsound)} unsound split rules, "
+                            f"{len(conflated)} conflated elements)"),
         f"coproduct frame spatial: {str(spatial).lower()} "
-        f"(elements={len(locale.frame)}, points={len(points_of(locale.frame))})",
+        f"(elements={len(frame)}, points={len(pts)})",
     ]
     return equal and spatial, report
 
@@ -438,11 +428,12 @@ def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
     regular = list(regular)
     if len(regular) != len(spaces):
         raise ValueError("one regularity flag per factor is required")
-    factors = _space_frames(spaces)
+    factors = [frame_from_space(s) for s in spaces]
     coverage = ProductCoverage(factors, max_covers=max_covers)
     carrier = coverage.carrier
     rect = _rects(factors, [s.points for s in spaces])
-    pm = product_monoid([fine_monoid(s) for s in spaces], max_basis=max_covers)
+    pm = product_monoid([fine_monoid(s, max_covers=max_covers) for s in spaces],
+                        max_basis=max_covers)
     pcarrier = pm.carrier
 
     report = []

@@ -1,11 +1,15 @@
 """CLI: round-trips, exit codes, and json/text verdict parity."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from locfine.cli import emit_structure, main, parse_structure
+from locfine.cli import KINDS, emit_structure, main, parse_structure
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -146,6 +150,18 @@ def test_json_and_text_verdicts_agree(argv, expected, capsys):
         assert want in text
 
 
+def _assert_exits_2_without_traceback(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["--json"] + argv) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["exit"] == 2 and payload["error"]
+    assert "Traceback" not in captured.err
+
+
 INVALID_FRAMES = {
     # Frame() used to drop the pair naming z and answer for the rest
     "unknown-name": "kind frame\nelements 0 1\nle 0 1\nle 1 z\n",
@@ -162,15 +178,7 @@ def test_invalid_frame_file_exits_2_without_traceback(case, command, tmp_path,
                                                       capsys):
     path = tmp_path / f"{case}.cov"
     path.write_text(INVALID_FRAMES[case], encoding="utf-8")
-    assert main([command, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out.startswith("error: ")
-    assert "Traceback" not in captured.out + captured.err
-    assert main(["--json", command, str(path)]) == 2
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["exit"] == 2 and payload["error"]
-    assert "Traceback" not in captured.err
+    _assert_exits_2_without_traceback([command, str(path)], capsys)
 
 
 def test_unknown_name_is_named_in_the_error(tmp_path, capsys):
@@ -243,13 +251,137 @@ INVALID_ARGUMENTS = {
 
 @pytest.mark.parametrize("case", sorted(INVALID_ARGUMENTS))
 def test_invalid_arguments_exit_2_without_traceback(case, tmp_path, capsys):
-    argv = INVALID_ARGUMENTS[case](tmp_path)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out.startswith("error: ")
-    assert "Traceback" not in captured.out + captured.err
-    assert main(["--json"] + argv) == 2
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["exit"] == 2 and payload["error"]
-    assert "Traceback" not in captured.err
+    _assert_exits_2_without_traceback(INVALID_ARGUMENTS[case](tmp_path), capsys)
+
+
+SHORT_ROWS = {
+    "open-without-a-set": "kind space\npoints a\nopen {}\nopen {a}\nopen\n",
+    "axiom-without-a-cover": "kind formal\nelements 1\nunit 1\naxiom 1\n",
+    "pair-without-a-cover": "kind covrel\nelements a\ntop a\npair a\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_ROWS))
+def test_row_missing_an_argument_exits_2_without_traceback(case, tmp_path, capsys):
+    path = tmp_path / f"{case}.cov"
+    path.write_text(SHORT_ROWS[case], encoding="utf-8")
+    _assert_exits_2_without_traceback(["check", str(path)], capsys)
+
+
+def test_rank_of_a_monoid_on_no_points_is_zero(tmp_path, capsys):
+    path = tmp_path / "empty.cov"
+    path.write_text("kind monoid\npoints\n", encoding="utf-8")
+    assert main(["lambda", str(path), "--rank"]) == 0
+    assert "rank: 0" in capsys.readouterr().out
+
+
+# --- fuzzing the command line ----------------------------------------------
+
+NAMES = ["a", "b", "c"]
+
+
+def _set(names):
+    return "{" + " ".join(sorted(names)) + "}"
+
+
+@st.composite
+def _rows(draw, kind):
+    """The rows after the kind line of a grammar-valid file."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3,
+                          unique=True))
+    pick = st.sampled_from(names)
+    subset = st.lists(pick, max_size=3, unique=True).map(_set)
+    family = st.lists(subset, max_size=3).map(" ".join)
+    some = st.integers(0, 3)
+    if kind in ("space", "monoid", "game"):
+        rows = ["points " + " ".join(names)]
+        if kind == "space":
+            # close under union and intersection, so most spaces are valid
+            opens = {frozenset(), frozenset(names)}
+            opens |= set(draw(st.lists(st.frozensets(pick), max_size=3)))
+            while any(a | b not in opens or a & b not in opens
+                      for a in opens for b in opens):
+                opens |= {f(a, b) for a in opens for b in opens
+                          for f in (frozenset.union, frozenset.intersection)}
+            rows += ["open " + _set(o) for o in sorted(opens, key=sorted)]
+        else:
+            rows += ["cover " + draw(family) for _ in range(draw(some))]
+        if kind == "game":
+            rows += ["target " + draw(family), "start " + draw(subset)]
+        return rows
+    rows = ["elements " + " ".join(names)]
+    if kind == "formal":
+        rows.append(f"unit {names[0]}")
+        rest = names[1:]
+        rows += [f"mul {x} {y} {draw(pick)}" for x in rest for y in rest if x <= y]
+        rows += [f"axiom {draw(pick)} {draw(subset)}" for _ in range(draw(some))]
+        return rows
+    rows += [f"le {draw(pick)} {draw(pick)}" for _ in range(draw(some))]
+    if kind in ("preorder", "covrel"):
+        rows.append(f"top {names[-1]}")
+    if kind == "covrel":
+        rows += [f"pair {draw(pick)} {draw(subset)}" for _ in range(draw(some))]
+    return rows
+
+
+def _mutate(draw, rows):
+    """Drop a row, drop an argument, duplicate a token or rename a name."""
+    if not rows:
+        return rows
+    i = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(["keep", "drop-row", "drop-arg", "duplicate",
+                                "unknown-name"]))
+    toks = rows[i].split(" ")
+    if how == "drop-row":
+        return rows[:i] + rows[i + 1:]
+    if how == "drop-arg" and len(toks) > 1:
+        toks = toks[:-1]
+    elif how == "duplicate":
+        j = draw(st.integers(0, len(toks) - 1))
+        toks = toks[:j + 1] + toks[j:]
+    elif how == "unknown-name":
+        toks = [t.replace(draw(st.sampled_from(NAMES)), "zz") for t in toks]
+    return rows[:i] + [" ".join(toks)] + rows[i + 1:]
+
+
+def _commands(kind, path):
+    """The commands that read a file of this kind, and ``check``."""
+    on = {
+        "space": [["points", path], ["spatial", path],
+                  ["coproduct", path, path, "--compare-space"]],
+        "frame": [["points", path], ["spatial", path], ["coproduct", path, path]],
+        "monoid": [["lambda", path, "--rank", "--trace"],
+                   ["witness", path, "--target", "{a} {b}"],
+                   ["bounded", path, "--target", "{a}", "--depth", "2"],
+                   ["product", path, path]],
+        "preorder": [],
+        "covrel": [["saturate", path, "--trace"]],
+        "formal": [["entail", path, "--judgment", "a {b}", "--proof"]],
+        "game": [["game", path, "--strategy"]],
+    }
+    return on[kind] + [["check", path]]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--max-scan", "12"] + argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_files_keep_the_exit_code_contract(data):
+    kind = data.draw(st.sampled_from(KINDS))
+    rows = _mutate(data.draw, data.draw(_rows(kind)))
+    text = "\n".join([f"kind {kind}"] + rows) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cov")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = data.draw(st.sampled_from(_commands(kind, path)))
+        code, _, err = _run(argv)
+        code_json, out_json, _ = _run(["--json"] + argv)
+    assert code in (0, 1, 2, 3)
+    assert json.loads(out_json)["exit"] == code_json == code
+    assert "Traceback" not in err

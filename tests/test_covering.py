@@ -33,7 +33,7 @@ from locfine.covering import (
     saturate,
     witness_tree,
 )
-from locfine.errors import CarrierMismatchError
+from locfine.errors import CarrierMismatchError, LimitExceededError, LocfineError
 from locfine.formal import FormalPresentation, Judgment, covers_of_unit
 from locfine.frames import space_discrete
 from test_acceptance import CORPUS, _commutative_monoids_up_to, random_monoid
@@ -276,6 +276,12 @@ class TestLocallyFineAndRank:
         assert is_locally_fine(m)
         assert rank(m) == 0
 
+    def test_fine_monoid_respects_the_size_guard(self):
+        # the discrete five-point space has 7 580 antichains of nonempty opens
+        with pytest.raises(LimitExceededError):
+            fine_monoid(space_discrete("abcde"))
+        assert is_locally_fine(fine_monoid(space_discrete("abcde"), max_covers=8000))
+
     def test_meet_closed_monoid_is_locally_fine(self, c3):
         base = (cov("01", "12"), cov("0", "12"))
         closed = tuple(meet_closure(base, c3))
@@ -398,7 +404,7 @@ def _reference_rank(m):
 def _rank_or_unstable(rank_fn, m):
     try:
         return rank_fn(m)
-    except AssertionError:
+    except (AssertionError, LocfineError):  # the reference raises AssertionError
         return "unstable"
 
 
@@ -450,6 +456,9 @@ class TestRankMatchesReference:
         for m in _random_preorder_monoids(random.Random(23), 600):
             got = _rank_or_unstable(rank, m)
             assert got == _rank_or_unstable(_reference_rank, m)
+            if got == "unstable":
+                with pytest.raises(LocfineError):
+                    rank(m)
             outcomes.add(got)
         assert "unstable" in outcomes and len(outcomes) > 2
 

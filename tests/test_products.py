@@ -1,8 +1,11 @@
 """Products, generated locales, coproducts, and the product theorems."""
 
+import random
 from itertools import product as iproduct
 
 import pytest
+
+import locfine.products as products
 
 from locfine.carrier import (
     SubsetCarrier,
@@ -24,6 +27,7 @@ from locfine.frames import (
     chain_frame,
     frame_from_space,
     frame_iso,
+    is_spatial,
     points_of,
     space_chain3,
     space_discrete,
@@ -230,10 +234,6 @@ class TestRectBasis:
     def test_single_factor_trivial(self):
         assert rect_basis_check([space_chain3()]) == []
 
-    def test_three_discrete_factors_via_atoms(self):
-        d = space_discrete("pq")
-        assert rect_basis_check([d, d, d], max_covers=3000) == []
-
 
 class TestSpatialProductEq:
     def test_one_point_factors(self):
@@ -430,3 +430,204 @@ def test_coproduct_size_guard_boundary():
         coproduct_frames(frames, max_covers=5)
     loc, _ = coproduct_frames(frames, max_covers=6)
     assert len(loc.frame) == 6
+
+
+def _reference_rect_basis_check(spaces, max_covers=5000):
+    """Every geometric cover of a box is refined by a derivable box cover,
+    checked cover by cover.
+
+    Exhaustive over canonical covers of the product poset when the count
+    fits the guard; otherwise each subject is reduced to its finest
+    atomistic box cover (valid when atoms denote single points, e.g. for
+    discrete factors).
+    """
+    factors = [frame_from_space(s) for s in spaces]
+    coverage = ProductCoverage(factors, max_covers=max_covers)
+    carrier = coverage.carrier
+    rect = products._rects(factors, [s.points for s in spaces])
+    elems = carrier.class_reps()
+    report = []
+    try:
+        covers = all_canonical_covers(carrier, max_count=max_covers)
+    except LimitExceededError:
+        covers = None
+    if covers is not None:
+        for a in elems:
+            for u in covers:
+                union = frozenset().union(*(rect[x] for x in u)) if u else frozenset()
+                if not rect[a] <= union:
+                    continue
+                finest = normalize(
+                    frozenset(b for b in elems
+                              if carrier.le(b, a) and
+                              any(rect[b] <= rect[x] for x in u)), carrier)
+                if not coverage.holds(a, finest):
+                    report.append(
+                        f"no rectangular refinement derivable for "
+                        f"({a}, cover of size {len(u)})")
+        return report
+    for a in elems:
+        below = [b for b in elems if carrier.le(b, a) and rect[b]]
+        atoms = [b for b in below
+                 if not any(b2 != b and carrier.le(b2, b) and rect[b2] for b2 in below)]
+        atom_union = frozenset().union(*(rect[b] for b in atoms)) if atoms else frozenset()
+        applicable = (all(len(rect[b]) == 1 for b in atoms)
+                      and atom_union == rect[a])
+        if not applicable:
+            raise LimitExceededError(
+                "exhaustive cover scan too large and the atomistic reduction "
+                "does not apply")
+        if not coverage.holds(a, normalize(frozenset(atoms), carrier)):
+            report.append(f"finest box cover of {a} is not derivable")
+    return report
+
+
+def _reference_spatial_product_eq(spaces, max_covers=5000):
+    """The closed product relation against the geometric one, pair by pair
+    over every canonical cover of the product poset."""
+    for s in spaces:
+        s.validate()
+        if not s.is_t0:
+            raise ValueError("spatial_product_eq needs T0 factors")
+    factors = [frame_from_space(s) for s in spaces]
+    coverage = ProductCoverage(factors, max_covers=max_covers)
+    carrier = coverage.carrier
+    rect = products._rects(factors, [s.points for s in spaces])
+    covers = all_canonical_covers(carrier, max_count=max_covers)
+    mismatches = 0
+    for u in covers:
+        union = frozenset().union(*(rect[x] for x in u)) if u else frozenset()
+        derived = coverage.derivable_set(u)
+        for a in carrier.class_reps():
+            geo = rect[a] <= union
+            if geo != (a in derived):
+                mismatches += 1
+    locale, _ = coproduct_frames(factors, max_covers=max_covers)
+    spatial, _ = is_spatial(locale.frame)
+    equal = mismatches == 0
+    report = [
+        f"closed product relation equals geometric covering: {str(equal).lower()}"
+        + ("" if equal else f" ({mismatches} mismatching pairs)"),
+        f"coproduct frame spatial: {str(spatial).lower()} "
+        f"(elements={len(locale.frame)}, points={len(points_of(locale.frame))})",
+    ]
+    return equal and spatial, report
+
+
+def _answer(check, spaces):
+    """The check's result, or None where it stops at its size guard."""
+    try:
+        return check(spaces)
+    except LimitExceededError:
+        return None
+
+
+ALL_SPACES = dict(SPACES, six=space_six_opens())
+ALL_PAIRS = [(a, b) for a in sorted(ALL_SPACES) for b in sorted(ALL_SPACES)]
+
+
+def test_reports_agree_with_the_cover_by_cover_references():
+    unanswered = []
+    for pair in ALL_PAIRS:
+        spaces = [ALL_SPACES[k] for k in pair]
+        ref = _answer(_reference_spatial_product_eq, spaces)
+        if ref is None:
+            unanswered.append(pair)
+            continue
+        got = spatial_product_eq(spaces)
+        assert got[0] == ref[0], pair
+        if got[0]:
+            assert got[1] == ref[1], pair
+    assert unanswered == [("six", "six")]
+
+
+@pytest.mark.parametrize("factors", [
+    ("sierpinski",), ("sierpinski", "sierpinski"), ("discrete2", "discrete2"),
+    ("discrete2", "sierpinski"), ("point", "discrete2", "sierpinski"),
+    ("discrete2",) * 3,
+], ids="x".join)
+def test_rect_basis_agrees_with_reference_on_acceptance_cases(factors):
+    spaces = [SPACES[k] for k in factors]
+    ref = _reference_rect_basis_check(spaces, max_covers=3000)
+    assert (rect_basis_check(spaces, max_covers=3000) == []) == (ref == [])
+
+
+@pytest.mark.parametrize("factors", [
+    ("six", "six"), ("chain3", "chain3", "sierpinski"), ("sierpinski",) * 4,
+    ("discrete2",) * 3,
+], ids="x".join)
+def test_reports_answer_past_the_cover_guard(factors):
+    spaces = [ALL_SPACES[k] for k in factors]
+    assert _answer(_reference_spatial_product_eq, spaces) is None
+    assert rect_basis_check(spaces) == []
+    eq, report = spatial_product_eq(spaces)
+    assert eq, report
+
+
+# Mutations that break the product coverage, applied to every
+# ProductCoverage (and so to the references too) or to the boxes.
+
+def _drop_a_split_per_element(coverage):
+    """Factor 0 loses its first split other than {x} at every element x."""
+    for x, splits in coverage._splits[0].items():
+        nontrivial = [s for s in splits if s != frozenset([x])]
+        if nontrivial:
+            splits.remove(nontrivial[0])
+
+
+def _cover_top_by_any_element(coverage):
+    """Unsound: factor 0's top is covered by any single non-bottom element."""
+    fr = coverage.factors[0]
+    coverage._splits[0][fr.top].extend(
+        frozenset([y]) for y in fr.elements if y not in (fr.bottom, fr.top))
+
+
+MUTATION_SPACES = ["chain3", "discrete2", "sierpinski", "six"]
+MUTATION_PAIRS = [(a, b) for a in MUTATION_SPACES for b in MUTATION_SPACES
+                  if (a, b) != ("six", "six")]
+
+
+@pytest.mark.parametrize("mutation", [_drop_a_split_per_element,
+                                      _cover_top_by_any_element],
+                         ids=["dropped-split", "unsound-split"])
+def test_coverage_mutations_agree_with_references(monkeypatch, mutation):
+    init = ProductCoverage.__init__
+
+    def mutated(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        mutation(self)
+
+    monkeypatch.setattr(ProductCoverage, "__init__", mutated)
+    verdicts = []
+    for pair in MUTATION_PAIRS:
+        spaces = [ALL_SPACES[k] for k in pair]
+        eq, report = spatial_product_eq(spaces)
+        assert eq == _reference_spatial_product_eq(spaces)[0], pair
+        assert eq or "unsound split rules, " in report[0]
+        ref_rect = _answer(_reference_rect_basis_check, spaces)
+        if ref_rect is not None:
+            assert (rect_basis_check(spaces) == []) == (ref_rect == []), pair
+        verdicts.append(eq)
+    assert not all(verdicts)
+    if mutation is _cover_top_by_any_element:
+        assert not any(verdicts)
+
+
+def test_a_box_that_loses_a_point_is_caught(monkeypatch):
+    rects = products._rects
+    rng = random.Random(6)
+    for pair in MUTATION_PAIRS:
+        spaces = [ALL_SPACES[k] for k in pair]
+        boxes = rects([frame_from_space(s) for s in spaces],
+                      [s.points for s in spaces])
+        for b in rng.sample(sorted(b for b in boxes if boxes[b]), 2):
+            lost = min(boxes[b])
+
+            def shrunk(factors, point_sets, b=b, lost=lost):
+                out = rects(factors, point_sets)
+                out[b] = out[b] - {lost}
+                return out
+
+            monkeypatch.setattr(products, "_rects", shrunk)
+            eq, _ = spatial_product_eq(spaces)
+            assert not eq and not _reference_spatial_product_eq(spaces)[0], (pair, b)
