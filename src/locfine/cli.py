@@ -12,6 +12,7 @@ error, 3 an internal size guard was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -96,20 +97,24 @@ def parse_structure(text: str):
     if len(head) != 2 or head[0] != "kind" or head[1] not in KINDS:
         raise ParseError(f"first line must be 'kind <{'|'.join(KINDS)}>'")
     kind = head[1]
-    rows = []
+    rows = {}
     for ln in lines[1:]:
         toks = _tokens(ln)
-        rows.append((toks[0], toks[1:]))
+        rows.setdefault(toks[0], []).append(toks[1:])
     try:
-        return kind, _PARSERS[kind](rows)
+        value = _PARSERS[kind](rows)
     except (ParseError, LocfineError):
         raise
     except (ValueError, KeyError) as exc:
         raise ParseError(str(exc)) from exc
+    if rows:  # each parser consumes the rows it reads
+        raise ParseError(f"unknown row key(s) in a {kind} file: "
+                         + ", ".join(sorted(rows)))
+    return kind, value
 
 
 def _rows_by(rows, key, arity=None):
-    got = [args for (k, args) in rows if k == key]
+    got = rows.pop(key, [])
     if arity is not None and any(len(args) != arity for args in got):
         raise ParseError(f"each '{key}' line takes {arity} argument(s)")
     return got
@@ -531,7 +536,9 @@ def _cmd_bounded(args, out):
     return 0 if tree is not None else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; ``main`` only reads it."""
     ap = argparse.ArgumentParser(
         prog="locfine",
         description="Finite locales, cover monoids, and the locally fine closure.")

@@ -1,20 +1,14 @@
 """Products of cover monoids, generated locales, and frame coproducts.
 
-The coproduct of finite frames is built the way a covering relation
-generates a locale: take the weak product of the frames as a poset, generate
-a covering relation from single-coordinate splits (a pair (a, U) where U
-replaces one coordinate of a by a family join-dominating it), close under
-C1-C4, and quotient subsets of the product by mutual covering.  Equivalence
-classes are represented by their saturation sat(U) = {b : Cov(b, U)}, which
-is canonical because U <= V holds exactly when sat(U) is contained in
-sat(V).  Since sat(U | {b}) depends only on sat(U) (transitivity, C4), the
-classes are found by folding in one product element at a time.
-
-For product carriers the C1-C4 closure is computed lazily and goal-directed:
-for a fixed target cover, the derivable subjects form a least fixpoint under
-"some single-coordinate split lands entirely in the derived set".  Meets of
-derivable covers stay derivable because splits are stable under meets, so
-the fixpoint agrees with the full closure.
+A covering relation generates a locale of saturations sat(U) = {b : Cov(b,
+U)}, ordered by inclusion and canonical, as U <= V exactly when sat(U) is
+contained in sat(V).  One kernel, ``_Coverage``, computes each sat(U) as the
+least fixpoint of Horn rules by counter propagation (Dowling & Gallier,
+1984).  The coproduct of finite frames is generated on the weak product by
+single-coordinate splits (a, U), U replacing one coordinate of a by a family
+join-dominating it; each split is one rule.  As sat(U | {b}) depends only on
+sat(U) (C4), one fold finds every locale element, one class representative
+at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +23,7 @@ from .carrier import (
     antichains,
     cover_key,
     fold_meet,
+    meet_cover,
     normalize,
     refines,
     subsets,
@@ -37,8 +32,8 @@ from .covering import (
     DEFAULT_MAX_COVERS,
     CoveringMonoid,
     CoveringRelation,
+    fine_monoid,
     member,
-    saturate,
 )
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
@@ -153,92 +148,120 @@ def _locale_from_sats(carrier, cov, sats_with_reps) -> GeneratedLocale:
     return GeneratedLocale(carrier, cov, tuple(ordered), frame, reps)
 
 
-def locale_from_cov(rel: CoveringRelation,
-                    max_covers: int = DEFAULT_MAX_COVERS) -> GeneratedLocale:
-    """The locale a covering relation generates.
-
-    Elements are the distinct saturations of canonical covers, ordered by
-    inclusion; joins are saturations of unions and meets saturations of
-    member-wise meets.
-    """
-    if not rel.closed:
-        rel, _ = saturate(rel, max_covers=max_covers)
-    carrier = rel.carrier
-    covers = all_canonical_covers(carrier, max_count=max_covers)
-    by_cover = {}
-    for (a, u) in rel.pairs:
-        by_cover.setdefault(u, set()).add(a)
-    sats = {}
-    for u in covers:
-        s = frozenset(by_cover.get(u, ()))
-        if s not in sats:
-            sats[s] = u
-    return _locale_from_sats(carrier, rel, sats)
+def _fold_locale(cov, sat, max_covers, what) -> GeneratedLocale:
+    """The locale ``sat`` generates, folded from sat(empty) one class
+    representative b at a time, skipping b in sat(U) (U | {b} ~ U)."""
+    carrier = cov.carrier
+    sats = {sat(frozenset()): frozenset()}
+    for b in carrier.class_reps():
+        for s, rep in list(sats.items()):
+            if b not in s:
+                u = normalize(rep | {b}, carrier)
+                sats.setdefault(sat(u), u)
+        if len(sats) > max_covers:
+            raise LimitExceededError(f"{what} exceeded the size guard")
+    return _locale_from_sats(carrier, cov, sats)
 
 
-class ProductCoverage:
-    """Lazy C1-C4 closure of single-coordinate splits over a frame product.
+class _Coverage:
+    """Least fixpoint of Horn rules (head, body) over class representatives:
+    sat(U) holds U's normalized members and each head whose body it holds.
+    Each rule counts its body members not yet derived and fires at zero; an
+    empty body fires at the start.  Saturations are memoised."""
 
-    ``holds(a, U)`` decides membership of a pair by a least fixpoint over
-    the product elements; the full derivable set for each target cover is
-    memoised.
-    """
-
-    def __init__(self, factors, max_covers: int = DEFAULT_MAX_COVERS):
-        self.factors = list(factors)
-        elems = [tuple(c) for c in iproduct(*[f.elements for f in self.factors])]
-        le = set()
-        for a in elems:
-            for b in elems:
-                if all(f.le(x, y) for f, x, y in zip(self.factors, a, b)):
-                    le.add((a, b))
-        top = tuple(f.top for f in self.factors)
-        self.carrier = Preorder(elems, le, top)
-        self.top = top
-        self._splits = []
-        for f in self.factors:
-            covers = antichains(sorted(f.elements), f.le, max_count=max_covers)
-            table = {}
-            for x in f.elements:
-                table[x] = [c for c in covers
-                            if f.big_join(c) is not None and f.le(x, f.big_join(c))]
-            self._splits.append(table)
+    def __init__(self, carrier, rules):
+        self.carrier = carrier
+        self.rules = rules
+        self._sizes = [len(body) for _, body in rules]
+        self._start = [head for head, body in rules if not body]
+        self._watch = {}
+        for i, (_, body) in enumerate(rules):
+            for m in body:
+                self._watch.setdefault(m, []).append(i)
         self._memo = {}
 
     def derivable_set(self, target) -> frozenset:
-        """All product elements b with (b, target) in the closure."""
+        """All class representatives b with (b, target) in the closure."""
         target = normalize(target, self.carrier)
         got = self._memo.get(target)
         if got is not None:
             return got
-        elems = self.carrier.class_reps()
-        derived = {b for b in elems
-                   if any(self.carrier.le(b, t) for t in target)}
-        changed = True
-        while changed:
-            changed = False
-            for b in elems:
-                if b in derived:
-                    continue
-                hit = False
-                for i in range(len(self.factors)):
-                    for s in self._splits[i][b[i]]:
-                        kids = [b[:i] + (x,) + b[i + 1:] for x in s]
-                        if all(k in derived for k in kids):
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    derived.add(b)
-                    changed = True
-        out = frozenset(derived)
-        self._memo[target] = out
+        missing = list(self._sizes)
+        derived = set()
+        todo = [*target, *self._start]
+        while todo:
+            a = todo.pop()
+            if a not in derived:
+                derived.add(a)
+                for i in self._watch.get(a, ()):
+                    missing[i] -= 1
+                    if not missing[i]:
+                        todo.append(self.rules[i][0])
+        out = self._memo[target] = frozenset(derived)
         return out
 
     def holds(self, a, u) -> bool:
         self.carrier.check_element(a)
-        return a in self.derivable_set(u)
+        return self.carrier.rep(a) in self.derivable_set(u)
+
+
+def locale_from_cov(rel: CoveringRelation,
+                    max_covers: int = DEFAULT_MAX_COVERS) -> GeneratedLocale:
+    """The locale a covering relation generates, of at most ``max_covers``
+    elements.  A closed relation gives sat(U) by lookup; otherwise the kernel
+    uses order rules (x, {y}), x <= y, and localised rules (x, V /\\ {x}),
+    x <= g, per generator (g, V) (Coquand, Sambin, Smith & Valentini, APAL
+    124, 2003); the empty piece's order rule has an empty body, as C2 gives.
+
+    Sound: each rule is derivable (C2; C2, C4, and C3 with (x, {x})).
+    Complete: sat(U) holds U and all below it (C1, C2); g is in sat(V) as
+    g /\\ V refines V; C4, as sat(V) holds sat(U) once it holds U.  C3: for
+    a rule (h, B) and c <= h, c is derived from pieces below c and a member
+    of B (c itself, or the body of c's localised rule); so by induction on
+    a in sat(U), then on c in sat(V), all d below a and c lie in sat(U /\\ V).
+    """
+    carrier = rel.carrier
+    if rel.closed:
+        by_cover = {}
+        for (a, u) in rel.pairs:
+            by_cover.setdefault(u, set()).add(a)
+        return _fold_locale(rel, lambda u: frozenset(by_cover.get(u, ())),
+                            max_covers, "generated locale")
+    reps = carrier.class_reps()
+    rules = [(x, normalize([y], carrier))
+             for x in reps for y in reps if carrier.le(x, y)]
+    rules += [(x, meet_cover(v, frozenset([x]), carrier))
+              for (g, v) in rel.pairs for x in reps if carrier.le(x, g)]
+    cov = _Coverage(carrier, rules)
+    return _fold_locale(cov, cov.derivable_set, max_covers, "generated locale")
+
+
+class ProductCoverage(_Coverage):
+    """The C1-C4 closure of single-coordinate splits over a frame product:
+    ``_splits[i][x]`` lists the families of factor i that join-dominate x."""
+
+    def __init__(self, factors, max_covers: int = DEFAULT_MAX_COVERS):
+        self.factors = list(factors)
+        elems = [tuple(c) for c in iproduct(*[f.elements for f in self.factors])]
+        le = {(a, b) for a in elems for b in elems
+              if all(f.le(x, y) for f, x, y in zip(self.factors, a, b))}
+        self.top = tuple(f.top for f in self.factors)
+        self.carrier = Preorder(elems, le, self.top)
+        self._splits = []
+        for f in self.factors:
+            covers = antichains(sorted(f.elements), f.le, max_count=max_covers)
+            # f.le(x, None) is false: a family with no join splits nothing
+            self._splits.append({x: [c for c in covers if f.le(x, f.big_join(c))]
+                                 for x in f.elements})
+        super().__init__(self.carrier, self._split_rules())
+
+    def _split_rules(self):
+        return [(b, frozenset(b[:i] + (x,) + b[i + 1:] for x in s))
+                for b in self.carrier.class_reps()
+                for i, table in enumerate(self._splits) for s in table[b[i]]]
+
+    # perfbench counts coproduct work by wrapping this name on this class
+    derivable_set = _Coverage.derivable_set
 
 
 @dataclass
@@ -252,30 +275,14 @@ class EmbeddingPhi:
 
 
 def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
-    """Coproduct of finite frames via the generated locale.
-
-    Returns the locale together with the embedding of the weak product into
-    it.  Every locale element is the saturation of a set of product
-    elements, so the elements are reached from sat(empty) by adding one
-    product element at a time.  By transitivity (C4), sat(U | {b}) depends
-    only on sat(U), so one representative per saturation suffices; and when
-    b is already in sat(U), U | {b} and U cover each other, so that step is
-    skipped.
-    """
+    """Coproduct of finite frames via the generated locale, with the
+    embedding of the weak product into it."""
     coverage = ProductCoverage(fs, max_covers=max_covers)
-    carrier = coverage.carrier
-    sats = {coverage.derivable_set(frozenset()): frozenset()}
-    for b in carrier.class_reps():
-        for s, rep in list(sats.items()):
-            if b not in s:
-                u = normalize(rep | {b}, carrier)
-                sats.setdefault(coverage.derivable_set(u), u)
-        if len(sats) > max_covers:
-            raise LimitExceededError("coproduct locale exceeded the size guard")
-    locale = _locale_from_sats(carrier, coverage, sats)
+    locale = _fold_locale(coverage, coverage.derivable_set, max_covers,
+                          "coproduct locale")
     phi = EmbeddingPhi({
         b: locale.label_of(coverage.derivable_set(frozenset([b])))
-        for b in carrier.class_reps()})
+        for b in coverage.carrier.class_reps()})
     return locale, phi
 
 
@@ -366,13 +373,8 @@ def _check_on_locale(spaces, max_covers):
     def union(bs):
         return frozenset().union(*(rect[b] for b in bs))
 
-    unsound = []
-    for b in locale.carrier.class_reps():
-        for i, table in enumerate(locale.cov._splits):
-            for s in table[b[i]]:
-                kids = [b[:i] + (x,) + b[i + 1:] for x in s]
-                if not rect[b] <= union(kids):
-                    unsound.append((b, kids))
+    unsound = [(b, kids) for b, kids in locale.cov.rules
+               if not rect[b] <= union(kids)]
     first = {}
     conflated = []
     for x in locale.frame.elements:
@@ -421,15 +423,14 @@ def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
     """Compare top-pairs of the closed product relation with closure
     membership in the product of fine cover monoids, and report whether that
     closure captures exactly the open-refinable covers of the product."""
-    from .covering import fine_monoid
-
     if regular is None:
         raise ValueError("regularity must be asserted per factor")
     regular = list(regular)
     if len(regular) != len(spaces):
         raise ValueError("one regularity flag per factor is required")
     factors = [frame_from_space(s) for s in spaces]
-    coverage = ProductCoverage(factors, max_covers=max_covers)
+    locale, _ = coproduct_frames(factors, max_covers=max_covers)
+    coverage = locale.cov
     carrier = coverage.carrier
     rect = _rects(factors, [s.points for s in spaces])
     pm = product_monoid([fine_monoid(s, max_covers=max_covers) for s in spaces],
@@ -462,7 +463,6 @@ def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
         rhs = refines(finest_open, v, pcarrier)
         if lhs != rhs:
             eq86 = False
-    locale, _ = coproduct_frames(factors, max_covers=max_covers)
     spatial, _ = is_spatial(locale.frame)
     report.append(
         f"closure of the fine-monoid product equals the fine monoid of the "

@@ -268,6 +268,36 @@ def test_row_missing_an_argument_exits_2_without_traceback(case, tmp_path, capsy
     _assert_exits_2_without_traceback(["check", str(path)], capsys)
 
 
+UNKNOWN_ROWS = {
+    # the misspelt open used to be dropped: "points: 1", exit 0
+    "space": ("kind space\npoints a\nopen {}\nopne {a}\nopen {a}\n", "points",
+              "opne"),
+    "frame": ("kind frame\nelements 0 1\nle 0 1\ntop 1\n", "spatial", "top"),
+    "covrel": ("kind covrel\nelements a t\ntop t\nle a t\npairs a {t}\n",
+               "saturate", "pairs"),
+    "game": ("kind game\npoints 0\ncover {0}\ntarget {0}\nstrat {0}\n", "game",
+             "strat"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_ROWS))
+def test_unknown_row_key_exits_2_without_traceback(case, tmp_path, capsys):
+    text, command, key = UNKNOWN_ROWS[case]
+    path = tmp_path / f"{case}.cov"
+    path.write_text(text, encoding="utf-8")
+    main([command, str(path)])
+    assert f"unknown row key(s) in a {case} file: {key}" in capsys.readouterr().out
+    _assert_exits_2_without_traceback([command, str(path)], capsys)
+
+
+def test_json_then_text_in_one_process(capsys):
+    argv = ["points", fx("sierpinski_frame.cov")]
+    assert main(["--json"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["points"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("points: 2\n")
+
+
 def test_rank_of_a_monoid_on_no_points_is_zero(tmp_path, capsys):
     path = tmp_path / "empty.cov"
     path.write_text("kind monoid\npoints\n", encoding="utf-8")

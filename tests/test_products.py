@@ -8,6 +8,7 @@ import pytest
 import locfine.products as products
 
 from locfine.carrier import (
+    Preorder,
     SubsetCarrier,
     all_canonical_covers,
     normalize,
@@ -43,6 +44,7 @@ from locfine.products import (
     canonical_cov,
     coproduct_frames,
     embed_phi_check,
+    frame_preorder,
     locale_from_cov,
     product_monoid,
     product_points,
@@ -596,6 +598,8 @@ def test_coverage_mutations_agree_with_references(monkeypatch, mutation):
     def mutated(self, *args, **kwargs):
         init(self, *args, **kwargs)
         mutation(self)
+        # the kernel's rules are built from the splits, so build them again
+        products._Coverage.__init__(self, self.carrier, self._split_rules())
 
     monkeypatch.setattr(ProductCoverage, "__init__", mutated)
     verdicts = []
@@ -631,3 +635,174 @@ def test_a_box_that_loses_a_point_is_caught(monkeypatch):
             monkeypatch.setattr(products, "_rects", shrunk)
             eq, _ = spatial_product_eq(spaces)
             assert not eq and not _reference_spatial_product_eq(spaces)[0], (pair, b)
+
+
+# The Horn-clause kernel against the loops it replaced.
+
+def _reference_derivable_set(coverage, target):
+    """All product elements b with (b, target) in the closure, by
+    rescanning every element until no split lands in the derived set."""
+    target = normalize(target, coverage.carrier)
+    elems = coverage.carrier.class_reps()
+    derived = {b for b in elems
+               if any(coverage.carrier.le(b, t) for t in target)}
+    changed = True
+    while changed:
+        changed = False
+        for b in elems:
+            if b in derived:
+                continue
+            hit = False
+            for i in range(len(coverage.factors)):
+                for s in coverage._splits[i][b[i]]:
+                    kids = [b[:i] + (x,) + b[i + 1:] for x in s]
+                    if all(k in derived for k in kids):
+                        hit = True
+                        break
+                if hit:
+                    break
+            if hit:
+                derived.add(b)
+                changed = True
+    return frozenset(derived)
+
+
+def test_kernel_matches_the_rescanning_loop_on_every_cover():
+    checked = 0
+    for pair in ALL_PAIRS:
+        frames = [frame_from_space(ALL_SPACES[k]) for k in pair]
+        coverage = ProductCoverage(frames)
+        try:
+            covers = all_canonical_covers(coverage.carrier)
+        except LimitExceededError:
+            assert pair == ("six", "six")
+            continue
+        for u in covers:
+            assert coverage.derivable_set(u) == \
+                _reference_derivable_set(coverage, u), (pair, u)
+        checked += len(covers)
+    assert checked == 3938
+
+
+def _reference_locale_from_cov(rel, max_covers=5000):
+    """The locale of the distinct saturations of every canonical cover,
+    read off the materialised C1-C4 closure."""
+    if not rel.closed:
+        rel, _ = saturate(rel, max_covers=max_covers)
+    carrier = rel.carrier
+    by_cover = {}
+    for (a, u) in rel.pairs:
+        by_cover.setdefault(u, set()).add(a)
+    sats = {}
+    for u in all_canonical_covers(carrier, max_count=max_covers):
+        sats.setdefault(frozenset(by_cover.get(u, ())), u)
+    return _locale_from_sats(carrier, rel, sats)
+
+
+def _random_relation(rng, carrier, gens):
+    """Up to ``gens`` pairs of a random piece and a family of 0-3 pieces."""
+    pieces = sorted(carrier.elements(), key=carrier.key)
+    return CoveringRelation(carrier, f(
+        (rng.choice(pieces), f(rng.sample(pieces, rng.randint(0, 3))))
+        for _ in range(rng.randint(0, gens))))
+
+
+def _random_preorder(rng, size):
+    names = list("abcde")[:size - 1] + ["t"]
+    edges = {(x, "t") for x in names}
+    edges |= {(x, y) for x in names for y in names if rng.random() < 0.25}
+    return Preorder.from_edges(names, edges, "t")
+
+
+def _frame_relations(rng, fr, count):
+    """``count`` relations of 1-3 pairs drawn from the canonical relation."""
+    pairs = canonical_cov(fr).sorted_pairs()
+    carrier = frame_preorder(fr)
+    return [CoveringRelation(carrier, f(rng.sample(pairs, rng.randint(1, 3))))
+            for _ in range(count)]
+
+
+def _relation_corpus():
+    rng = random.Random(7)
+    small = [chain_frame(4), chain_frame(5), boolean_frame_2()] + [
+        frame_from_space(s) for s in (
+            space_six_opens(), space_chain3(), space_discrete("pqr"),
+            product_space([space_sierpinski()] * 2),
+            product_space([space_discrete("pq"), space_sierpinski()]),
+            product_space([space_chain3(), space_sierpinski()]))]
+    big = frame_from_space(product_space([space_six_opens(), space_sierpinski()]))
+    c4 = Preorder.from_edges(
+        "tbcde", [("b", "t"), ("c", "t"), ("d", "b"), ("e", "c")], "t")
+    corpus = [canonical_cov(fr) for fr in (
+        chain_frame(2), chain_frame(3), chain_frame(4), boolean_frame_2(),
+        frame_from_space(space_six_opens()), big)]
+    corpus.append(CoveringRelation(c4, f({
+        ("t", f({"b", "c"})), ("b", f({"d"})), ("c", f({"e"}))})))
+    corpus.append(CoveringRelation(c4, f()))
+    corpus += [CoveringRelation(SubsetCarrier("pqr"[:n]), f()) for n in (1, 2, 3)]
+    corpus += [_random_relation(rng, _random_preorder(rng, rng.randint(3, 6)), 3)
+               for _ in range(160)]
+    for fr in small:
+        corpus += _frame_relations(rng, fr, 6)
+    corpus += _frame_relations(rng, big, 3)
+    corpus += [_random_relation(rng, SubsetCarrier("pqr"), 3) for _ in range(40)]
+    corpus += [_random_relation(rng, SubsetCarrier("pqrs"), 2) for _ in range(3)]
+    return corpus
+
+
+RELATIONS = _relation_corpus()
+
+
+def test_locale_from_cov_matches_the_materialised_closure():
+    for rel in RELATIONS:
+        loc = locale_from_cov(rel)
+        ref = _reference_locale_from_cov(rel)
+        assert loc.frame.elements == ref.frame.elements, rel
+        assert loc.frame.meanings == ref.frame.meanings, rel
+        assert loc.frame.le_set == ref.frame.le_set, rel
+        if not rel.closed:
+            for x in loc.frame.elements:
+                assert loc.cov.derivable_set(loc.reps[x]) == loc.frame.meaning(x)
+
+
+def test_kernel_holds_matches_saturate_on_small_carriers():
+    checked = 0
+    for rel in RELATIONS:
+        carrier = rel.carrier
+        if rel.closed or len(carrier.class_reps()) > 8:
+            continue
+        cov = locale_from_cov(rel).cov
+        closed, _ = saturate(rel)
+        for u in all_canonical_covers(carrier):
+            for a in carrier.elements():
+                assert cov.holds(a, u) == closed.holds(a, u), (rel, a, u)
+                checked += 1
+    assert checked > 10000
+
+
+def test_binary_joins_present_a_frame_past_the_cover_guard():
+    """{(y \\/ z, {y, z})} with (bottom, {}) presents a finite frame; the
+    36 elements of six-opens x discrete-2 have more than 5000 canonical
+    covers, so only rules built from the generators can answer."""
+    fr = frame_from_space(product_space([space_six_opens(), space_discrete("pq")]))
+    carrier = frame_preorder(fr)
+    with pytest.raises(LimitExceededError):
+        all_canonical_covers(carrier)
+    gens = {(fr.join(y, z), f({y, z})) for y in fr.elements for z in fr.elements}
+    loc = locale_from_cov(CoveringRelation(carrier, f(gens | {(fr.bottom, f())})))
+    ok, _ = frame_iso(loc.frame, fr)
+    assert ok
+
+
+def test_star_variant_builds_one_product_coverage(monkeypatch):
+    built = []
+    init = ProductCoverage.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProductCoverage, "__init__", counted)
+    d = space_discrete("pq")
+    eq, _ = star_variant_eq([d, d], regular=[True, True])
+    assert eq and len(built) == 1
