@@ -55,6 +55,11 @@ class SubsetCarrier:
         """Maximal common lower bounds of a pair (here: the intersection)."""
         return [a & b]
 
+    def maximal(self, members):
+        """The nonempty members not strictly inside another member."""
+        return frozenset(m for m in members
+                         if m and not any(m < m2 for m2 in members))
+
     def key(self, e):
         return tuple(sorted(e))
 
@@ -82,36 +87,29 @@ class Preorder:
     """A finite preorder with a unique top element.
 
     The relation must be reflexive and transitive over the declared elements;
-    the constructor checks this and raises ``ValueError`` otherwise.  Use
-    ``Preorder.from_edges`` to build one from a sparse edge list (the
-    reflexive-transitive closure is taken automatically).
+    the constructor checks this and raises ``ValueError`` otherwise, naming
+    the least offending triple or element.  Use ``Preorder.from_edges`` to
+    build one from a sparse edge list (the reflexive-transitive closure is
+    taken automatically).  Like a ``Frame``, it keeps each element's up-set
+    and down-set, and meets, maximal members and class representatives are
+    read from them.
     """
 
     def __init__(self, elements: Iterable[str], le_pairs: Iterable[tuple], top: str):
         self.elements_tuple = tuple(sorted(set(elements)))
-        names = set(self.elements_tuple)
-        rel = {(a, b) for (a, b) in le_pairs}
-        for a, b in rel:
-            if a not in names or b not in names:
-                raise ValueError(f"relation mentions unknown element: {(a, b)}")
-        for a in names:
-            rel.add((a, a))
-        for a, b in list(rel):
-            for c in names:
-                if (b, c) in rel and (a, c) not in rel:
-                    raise ValueError(f"relation is not transitive: {a} <= {b} <= {c}")
-        if top not in names:
+        _, up, down = _order(self.elements_tuple, le_pairs)
+        bad = [(a, b, min(up[b] - up[a]))
+               for a in self.elements_tuple for b in up[a] if not up[b] <= up[a]]
+        if bad:
+            raise ValueError("relation is not transitive: {} <= {} <= {}".format(*min(bad)))
+        if top not in up:
             raise ValueError(f"unknown top element: {top}")
-        for a in names:
-            if (a, top) not in rel:
-                raise ValueError(f"top does not dominate {a}")
+        if len(down[top]) < len(up):
+            raise ValueError(f"top does not dominate {min(up.keys() - down[top])}")
         self.top = top
-        self._le = frozenset(rel)
+        self._up, self._down = up, down
         # Representative of each equivalence class: the least name in it.
-        self._rep = {}
-        for a in names:
-            cls = sorted(b for b in names if (a, b) in rel and (b, a) in rel)
-            self._rep[a] = cls[0]
+        self._rep = {a: min(up[a] & down[a]) for a in self.elements_tuple}
 
     @classmethod
     def from_edges(cls, elements, edges, top):
@@ -127,14 +125,16 @@ class Preorder:
             raise CarrierMismatchError(f"unknown element id: {e!r}")
 
     def le(self, a, b) -> bool:
-        return (a, b) in self._le
+        return b in self._up.get(a, ())
 
     def meet2(self, a, b):
         """Maximal common lower bounds, one per equivalence class."""
-        lower = {self._rep[p] for p in self.elements_tuple
-                 if self.le(p, a) and self.le(p, b)}
-        return [p for p in lower
-                if not any(q != p and self.le(p, q) for q in lower)]
+        return self.maximal({self._rep[p] for p in self._down[a] & self._down[b]})
+
+    def maximal(self, members):
+        """Of a set of class representatives, those with no other member
+        above them."""
+        return frozenset(p for p in members if len(self._up[p] & members) == 1)
 
     def key(self, e):
         return (e,)
@@ -150,7 +150,7 @@ class Preorder:
         return reps
 
     def le_pairs(self):
-        return self._le
+        return frozenset((a, b) for a, above in self._up.items() for b in above)
 
     def __repr__(self):
         return f"Preorder({len(self.elements_tuple)} elements, top={self.top!r})"
@@ -158,10 +158,10 @@ class Preorder:
     def __eq__(self, other):
         return (isinstance(other, Preorder)
                 and self.elements_tuple == other.elements_tuple
-                and self._le == other._le and self.top == other.top)
+                and self._up == other._up and self.top == other.top)
 
     def __hash__(self):
-        return hash(("Preorder", self.elements_tuple, self._le, self.top))
+        return hash(("Preorder", self.elements_tuple, self.top))
 
 
 Carrier = Union[SubsetCarrier, Preorder]
@@ -175,6 +175,22 @@ def subsets(items) -> Iterator[tuple]:
         yield from combinations(items, r)
 
 
+def _order(elements, le_pairs):
+    """The order data of a relation over ``elements``: the relation made
+    reflexive, and each element's up-set and down-set (holding the element).
+    Raises ``ValueError`` on a pair naming something outside ``elements``."""
+    up = {x: {x} for x in elements}
+    down = {x: {x} for x in up}
+    rel = frozenset(le_pairs).union(zip(up, up))
+    for a, b in rel:
+        if a not in up or b not in up:
+            raise ValueError(f"relation mentions unknown element: {(a, b)}")
+        up[a].add(b)
+        down[b].add(a)
+    return (rel, {x: frozenset(s) for x, s in up.items()},
+            {x: frozenset(s) for x, s in down.items()})
+
+
 def reflexive_transitive_closure(names, edges) -> set:
     """The least reflexive, transitive relation on ``names`` containing the
     ``(a, b)`` pairs of ``edges``, as a set of pairs.
@@ -182,15 +198,11 @@ def reflexive_transitive_closure(names, edges) -> set:
     Warshall's algorithm over per-element up-sets: once pivot ``k`` is
     processed, every element whose up-set holds ``k`` holds all of ``k``'s.
     """
-    up = {a: {a} for a in names}
-    for a, b in edges:
-        if a not in up or b not in up:
-            raise ValueError(f"relation mentions unknown element: {(a, b)}")
-        up[a].add(b)
-    for k, above_k in up.items():
-        for above in up.values():
+    _, up, _ = _order(names, edges)
+    for k in up:
+        for a, above in up.items():
             if k in above:
-                above |= above_k
+                up[a] = above | up[k]
     return {(a, b) for a, above in up.items() for b in above}
 
 
@@ -213,16 +225,8 @@ def normalize(u: Iterable, carrier) -> Cover:
     members = set()
     for m in u:
         carrier.check_element(m)
-        m = carrier.rep(m)
-        if isinstance(carrier, SubsetCarrier) and not m:
-            continue
-        members.add(m)
-    kept = []
-    for m in members:
-        if any(m2 != m and carrier.le(m, m2) for m2 in members):
-            continue
-        kept.append(m)
-    return frozenset(kept)
+        members.add(carrier.rep(m))
+    return carrier.maximal(members)
 
 
 def refines(u: Cover, v: Cover, carrier) -> bool:

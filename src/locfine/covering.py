@@ -369,12 +369,6 @@ def is_locally_fine(m: CoveringMonoid) -> bool:
     return any(refines(b, target, m.carrier) for b in m.basis)
 
 
-def _restrict_to_piece(cover, piece, carrier):
-    if isinstance(carrier, SubsetCarrier):
-        return restrict(cover, piece, carrier)
-    return meet_cover(cover, frozenset([piece]), carrier)
-
-
 def rank(m: CoveringMonoid) -> int:
     """Least stage at which the derivative sequence stabilizes (0 when the
     monoid is already locally fine): one less than the depth of the
@@ -500,7 +494,7 @@ def lazy_view(m: CoveringMonoid):
     def covers_of(piece):
         out = []
         for b in m.basis:
-            tr = _restrict_to_piece(b, piece, c)
+            tr = meet_cover(b, frozenset([piece]), c)
             if tr:
                 out.append(oc.sorted_members(tr, c))
         return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .carrier import subsets
+from .carrier import _order, subsets
 from .errors import InvalidTopologyError
 
 
@@ -80,18 +80,8 @@ class Frame:
 
     def __init__(self, elements, le_pairs, meanings=None):
         self.elements = tuple(sorted(set(elements)))
-        rel = set(le_pairs)
-        up = {x: {x} for x in self.elements}
-        down = {x: {x} for x in self.elements}
-        for a, b in rel:
-            if a not in up or b not in up:
-                raise ValueError(f"relation mentions unknown element: {(a, b)}")
-            up[a].add(b)
-            down[b].add(a)
-        self.le_set = frozenset(rel | {(x, x) for x in self.elements})
+        self.le_set, self._up, self._down = _order(self.elements, le_pairs)
         self.meanings = dict(meanings) if meanings else None
-        self._up = {x: frozenset(s) for x, s in up.items()}
-        self._down = {x: frozenset(s) for x, s in down.items()}
         self._by_up = _owners(self._up)
         self._by_down = _owners(self._down)
         self._everything = frozenset(self.elements)
@@ -177,9 +167,8 @@ def validate_frame(f: Frame) -> FrameReport:
         if (b, a) in f.le_set and a != b:
             out.append(f"antisymmetry fails: {a} and {b} are mutually below each other")
     for a, b in le_pairs:
-        for c in elems:
-            if (b, c) in f.le_set and (a, c) not in f.le_set:
-                out.append(f"transitivity fails: {a} <= {b} <= {c}")
+        for c in sorted(f.up_set(b) - f.up_set(a)):
+            out.append(f"transitivity fails: {a} <= {b} <= {c}")
     if f.bottom is None:
         out.append("no bottom element")
     if f.top is None:

@@ -112,12 +112,7 @@ def canonical_cov(f: Frame, max_covers: int = DEFAULT_MAX_COVERS) -> CoveringRel
     """The full relation {(a, U) : a <= join U} of a finite frame."""
     carrier = frame_preorder(f)
     covers = all_canonical_covers(carrier, max_count=max_covers)
-    pairs = set()
-    for u in covers:
-        j = f.big_join(u)
-        for a in f.elements:
-            if f.le(a, j):
-                pairs.add((a, u))
+    pairs = {(a, u) for u in covers for a in f.down_set(f.big_join(u))}
     return CoveringRelation(carrier, frozenset(pairs), closed=True)
 
 
@@ -243,8 +238,8 @@ class ProductCoverage(_Coverage):
     def __init__(self, factors, max_covers: int = DEFAULT_MAX_COVERS):
         self.factors = list(factors)
         elems = [tuple(c) for c in iproduct(*[f.elements for f in self.factors])]
-        le = {(a, b) for a in elems for b in elems
-              if all(f.le(x, y) for f, x, y in zip(self.factors, a, b))}
+        le = {(a, b) for a in elems
+              for b in iproduct(*[f.up_set(x) for f, x in zip(self.factors, a)])}
         self.top = tuple(f.top for f in self.factors)
         self.carrier = Preorder(elems, le, self.top)
         self._splits = []

@@ -1,5 +1,8 @@
 """Cover combinatorics: refinement, meets, normalization, stars."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +22,7 @@ from locfine.carrier import (
     star_refines,
     subsets,
 )
+from locfine.frames import chain_frame
 
 f = frozenset
 
@@ -257,3 +261,147 @@ def test_subsets_by_size_then_lexicographic(n):
     elems = tuple("abcdefg"[:n])
     assert [f(s) for s in subsets(elems)] == _doubling_subsets(elems)
     assert list(SubsetCarrier(elems).elements()) == _doubling_subsets(elems)
+
+
+def test_preorder_names_the_least_undominated_element():
+    with pytest.raises(ValueError, match=r"^top does not dominate a$"):
+        Preorder("abct", [("a", "b")], "t")
+
+
+def test_preorder_names_the_least_intransitive_triple():
+    with pytest.raises(ValueError, match=r"^relation is not transitive: a <= b <= c$"):
+        Preorder("abcd", [("a", "b"), ("b", "c"), ("c", "d")], "d")
+
+
+def test_le_on_an_unknown_name_is_false():
+    assert not chain_frame(3).le("c0", None)
+    p = Preorder.from_edges("ab", [("a", "b")], "b")
+    assert not p.le("a", "z") and not p.le("z", "b")
+
+
+# The pair-set preorder the up/down-set one replaced, kept as a reference.
+
+class _ReferencePreorder:
+    def __init__(self, elements, le_pairs, top):
+        self.elements_tuple = tuple(sorted(set(elements)))
+        names = set(self.elements_tuple)
+        rel = {(a, b) for (a, b) in le_pairs}
+        for a, b in rel:
+            if a not in names or b not in names:
+                raise ValueError(f"relation mentions unknown element: {(a, b)}")
+        for a in names:
+            rel.add((a, a))
+        for a, b in list(rel):
+            for c in names:
+                if (b, c) in rel and (a, c) not in rel:
+                    raise ValueError(f"relation is not transitive: {a} <= {b} <= {c}")
+        if top not in names:
+            raise ValueError(f"unknown top element: {top}")
+        for a in names:
+            if (a, top) not in rel:
+                raise ValueError(f"top does not dominate {a}")
+        self.top = top
+        self._le = frozenset(rel)
+        self._rep = {}
+        for a in names:
+            cls = sorted(b for b in names if (a, b) in rel and (b, a) in rel)
+            self._rep[a] = cls[0]
+
+    def check_element(self, e):
+        if e not in self._rep:
+            raise CarrierMismatchError(f"unknown element id: {e!r}")
+
+    def le(self, a, b):
+        return (a, b) in self._le
+
+    def meet2(self, a, b):
+        lower = {self._rep[p] for p in self.elements_tuple
+                 if self.le(p, a) and self.le(p, b)}
+        return [p for p in lower
+                if not any(q != p and self.le(p, q) for q in lower)]
+
+    def rep(self, e):
+        return self._rep[e]
+
+    def class_reps(self):
+        return sorted(set(self._rep.values()))
+
+
+def _reference_normalize(u, carrier):
+    members = set()
+    for m in u:
+        carrier.check_element(m)
+        members.add(carrier.rep(m))
+    return f(m for m in members
+             if not any(m2 != m and carrier.le(m, m2) for m2 in members))
+
+
+def _reference_meet_cover(u, v, carrier):
+    return _reference_normalize(
+        [p for a in u for b in v for p in carrier.meet2(a, b)], carrier)
+
+
+def _least_failure(names, rel, top):
+    """The message the checks give: the least intransitive triple, else the
+    least element the top does not dominate."""
+    rel = set(rel) | {(a, a) for a in names}
+    triples = [(a, b, c) for (a, b) in rel for c in names
+               if (b, c) in rel and (a, c) not in rel]
+    if triples:
+        return "relation is not transitive: {} <= {} <= {}".format(*min(triples))
+    if top not in names:
+        return f"unknown top element: {top}"
+    return f"top does not dominate {min(a for a in names if (a, top) not in rel)}"
+
+
+def _compare_with_reference(names, rel, top):
+    """Whether the relation makes a preorder, after checking every order
+    question against the reference."""
+    try:
+        ref = _ReferencePreorder(names, rel, top)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Preorder(names, rel, top)
+        assert str(got.value) == _least_failure(names, rel, top)
+        assert str(got.value).split()[:3] == str(exc).split()[:3]
+        return False
+    p = Preorder(names, rel, top)
+    assert p.le_pairs() == ref._le
+    assert p.class_reps() == ref.class_reps()
+    for a in names:
+        assert p.rep(a) == ref.rep(a)
+        for b in names:
+            assert p.le(a, b) == ref.le(a, b)
+            assert set(p.meet2(a, b)) == set(ref.meet2(a, b)), (a, b)
+    covers = [f(c) for k in range(3) for c in combinations(sorted(names), k)]
+    for u in covers:
+        assert normalize(u, p) == _reference_normalize(u, ref), u
+        for v in covers:
+            assert meet_cover(u, v, p) == _reference_meet_cover(u, v, ref), (u, v)
+    return True
+
+
+def test_preorder_matches_the_pair_set_reference_on_every_small_relation():
+    valid = 0
+    for n in range(1, 5):
+        names = "abcd"[:n]
+        off_diagonal = [(a, b) for a in names for b in names if a != b]
+        for rel in subsets(off_diagonal):
+            for top in names + "z":
+                valid += _compare_with_reference(names, rel, top)
+    # (preorder, element of its greatest class) pairs on 1-4 labelled names
+    assert valid == 1 + 4 + 21 + 180
+
+
+def test_preorder_matches_the_pair_set_reference_on_random_preorders():
+    rng = random.Random(8)
+    valid = 0
+    for size in range(5, 9):
+        names = "abcdefgh"[:size - 1] + "t"
+        for _ in range(6):
+            edges = {(x, "t") for x in names}
+            edges |= {(x, y) for x in names for y in names if rng.random() < 0.2}
+            rel = _brute_closure(names, edges) if rng.random() < 0.75 else edges
+            valid += _compare_with_reference(names, rel, "t")
+    # both sides: closed relations build, most unclosed ones raise
+    assert 12 < valid < 24

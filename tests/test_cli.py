@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import locfine
 from locfine.cli import KINDS, emit_structure, main, parse_structure
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -415,3 +418,30 @@ def test_fuzzed_files_keep_the_exit_code_contract(data):
     assert code in (0, 1, 2, 3)
     assert json.loads(out_json)["exit"] == code_json == code
     assert "Traceback" not in err
+
+
+_TRANSCRIPT = """
+import contextlib, io, os, sys
+from locfine.cli import main
+for path in sys.argv[1:]:
+    for argv in (["check", path], ["--json", "check", path]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(argv)
+        print(argv[:-1], os.path.basename(path), code, out.getvalue())
+"""
+
+
+def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
+    undominated = tmp_path / "undominated_top.cov"
+    undominated.write_text("kind preorder\nelements a b c t\ntop t\nle a b\n")
+    paths = [fx(n) for n in sorted(os.listdir(FIXTURES))] + [str(undominated)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locfine.__file__)))
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs.append(subprocess.run(
+            [sys.executable, "-c", _TRANSCRIPT, *paths], env=env,
+            capture_output=True, text=True, check=True).stdout)
+    assert runs[0] == runs[1]
+    assert "top does not dominate a" in runs[0]

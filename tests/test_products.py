@@ -637,6 +637,15 @@ def test_a_box_that_loses_a_point_is_caught(monkeypatch):
             assert not eq and not _reference_spatial_product_eq(spaces)[0], (pair, b)
 
 
+def test_product_order_matches_the_factorwise_test():
+    for pair in ALL_PAIRS:
+        factors = [frame_from_space(ALL_SPACES[k]) for k in pair]
+        elems = [tuple(c) for c in iproduct(*[fr.elements for fr in factors])]
+        le = {(a, b) for a in elems for b in elems
+              if all(fr.le(x, y) for fr, x, y in zip(factors, a, b))}
+        assert ProductCoverage(factors).carrier.le_pairs() == le, pair
+
+
 # The Horn-clause kernel against the loops it replaced.
 
 def _reference_derivable_set(coverage, target):
