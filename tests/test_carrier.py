@@ -279,6 +279,13 @@ def test_le_on_an_unknown_name_is_false():
     assert not p.le("a", "z") and not p.le("z", "b")
 
 
+def test_preorders_are_equal_when_their_orders_are():
+    chain = Preorder.from_edges("abt", [("a", "b"), ("b", "t")], "t")
+    again = Preorder("tba", chain.le_pairs(), "t")
+    assert chain == again and hash(chain) == hash(again)
+    assert chain != Preorder.from_edges("abt", [("a", "t"), ("b", "t")], "t")
+
+
 # The pair-set preorder the up/down-set one replaced, kept as a reference.
 
 class _ReferencePreorder:
