@@ -255,15 +255,14 @@ def meet_cover(u: Cover, v: Cover, carrier) -> Cover:
 
     On a subset carrier this is the normalized cover of pairwise
     intersections; on a preorder, the normalized set of maximal common lower
-    bounds taken over all member pairs.
+    bounds taken over all member pairs.  Every member of both covers is
+    checked once, so an empty cover on either side still rejects a stranger
+    on the other.
     """
-    pieces = []
-    for a in u:
-        carrier.check_element(a)
-        for b in v:
-            carrier.check_element(b)
-            pieces.extend(carrier.meet2(a, b))
-    return normalize(pieces, carrier)
+    for m in (*u, *v):
+        carrier.check_element(m)
+    # meet2 answers class representatives, so only the maximal ones remain
+    return carrier.maximal({p for a in u for b in v for p in carrier.meet2(a, b)})
 
 
 def fold_meet(covers: Iterable[Cover], carrier) -> Cover:

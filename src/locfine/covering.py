@@ -24,6 +24,7 @@ enumeration).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import carrier as oc
 from .carrier import (
@@ -166,65 +167,56 @@ class _CoverSpace:
         return got
 
 
-def _close(space, initial, want_provenance):
-    """Round-based closure under C1-C4; returns (pairs, stage list, provenance)."""
-    carrier = space.carrier
-    present = set(initial)
-    provenance = {}
-    stages = []
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    forced = []
-    for ci, c in enumerate(space.covers):
-        for m in c:
-            forced.append(((space.sid[carrier.rep(m)], ci), "C1"))
+
+def _close(space, initial):
+    """Round-based closure under C1-C4; returns (held, stage list, provenance).
+
+    ``held[c]`` is the bitmask of the subject ids s with (s, c) derived.  Each
+    round proposes, from the pairs held before it: C1 and C2 in the first
+    round only; C3, ``held[i] & held[j]`` into the meet of covers i < j; C4,
+    ``held[u]`` into v whenever every member of u holds v.  A new pair is
+    credited to the first rule that proposes it, in the order C1, C2, C3, C4.
+    """
+    n = len(space.covers)
+    members = [sum(1 << s for s in m) for m in space.member_sids]
+    held = [0] * n
+    for si, ci in initial:
+        held[ci] |= 1 << si
+    below = [0] * n
     for a in space.subjects:
         for b in space.subjects:
-            if carrier.le(a, b):
-                ci = space.cid[normalize([b], carrier)]
-                forced.append(((space.sid[a], ci), "C2"))
-
-    round_no = 0
-    first = True
+            if space.carrier.le(a, b):
+                si, ci = space.canon_pair(a, [b])
+                below[ci] |= 1 << si
+    seeds = [("C1", ci, m) for ci, m in enumerate(members)]
+    seeds += [("C2", ci, m) for ci, m in enumerate(below)]
+    provenance, stages = {}, []
     while True:
-        round_no += 1
-        added = {}
-
-        def propose(pair, rule):
-            if pair not in present and pair not in added:
-                added[pair] = rule
-
-        if first:
-            for pair, rule in forced:
-                propose(pair, rule)
-        by_subject = {}
-        for (si, ci) in present:
-            by_subject.setdefault(si, []).append(ci)
-        for si, cids in sorted(by_subject.items()):
-            cids = sorted(cids)
-            for i in cids:
-                for j in cids:
-                    if i < j:
-                        propose((si, space.meet_id(i, j)), "C3")
-        holders = {}
-        for (si, ci) in present:
-            holders.setdefault(ci, set()).add(si)
-        holder_sets = {ci: frozenset(s) for ci, s in holders.items()}
-        for vi in range(len(space.covers)):
-            hs = holder_sets.get(vi, frozenset())
-            for (si, ui) in present:
-                if space.member_sids[ui] <= hs:
-                    propose((si, vi), "C4")
-        first = False
-        stage_pairs = frozenset(
-            (space.subjects[si], space.covers[ci]) for (si, ci) in added)
-        stages.append((round_no, stage_pairs))
+        live = [c for c in range(n) if held[c]]
+        c3 = (("C3", space.meet_id(i, j), held[i] & held[j])
+              for x, i in enumerate(live) for j in live[x + 1:] if held[i] & held[j])
+        c4 = (("C4", v, held[u]) for v in range(n) for u in live
+              if not members[u] & ~held[v])
+        new, added = [0] * n, []
+        for rule, ci, mask in chain(seeds, c3, c4):
+            fresh = mask & ~(held[ci] | new[ci])
+            if fresh:
+                new[ci] |= fresh
+                for si in _bits(fresh):
+                    provenance[si, ci] = rule
+                    added.append((space.subjects[si], space.covers[ci]))
+        stages.append((len(stages) + 1, frozenset(added)))
         if not added:
-            break
-        for pair, rule in added.items():
-            present.add(pair)
-            if want_provenance:
-                provenance[pair] = rule
-    return present, stages, provenance
+            return held, stages, provenance
+        held = [h | d for h, d in zip(held, new)]
+        seeds = ()
 
 
 def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
@@ -235,8 +227,9 @@ def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
     """
     space = _CoverSpace(rel.carrier, max_covers)
     initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
-    present, stages, _ = _close(space, initial, want_provenance=False)
-    pairs = frozenset((space.subjects[si], space.covers[ci]) for (si, ci) in present)
+    held, stages, _ = _close(space, initial)
+    pairs = frozenset((space.subjects[si], space.covers[ci])
+                      for ci, mask in enumerate(held) for si in _bits(mask))
     trace = DerivationTrace(((0, frozenset(rel.pairs)),) + tuple(stages))
     return CoveringRelation(rel.carrier, pairs, closed=True), trace
 
@@ -285,11 +278,9 @@ def audit_axioms(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS) ->
     """
     space = _CoverSpace(rel.carrier, max_covers)
     initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
-    present, _, provenance = _close(space, initial, want_provenance=True)
+    _, _, provenance = _close(space, initial)
     buckets = {"C1": [], "C2": [], "C3": [], "C4": []}
-    for pair in present - initial:
-        rule = provenance[pair]
-        si, ci = pair
+    for (si, ci), rule in provenance.items():
         buckets[rule].append((space.subjects[si], space.covers[ci]))
     key = lambda p: (rel.carrier.key(p[0]), cover_key(p[1], rel.carrier))
     return AuditReport(

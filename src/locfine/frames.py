@@ -134,15 +134,23 @@ def _owners(sets):
 
 
 def frame_from_space(s: SpaceDescription) -> Frame:
-    """The frame of opens of a finite space, ordered by inclusion."""
+    """The frame of opens of a finite space, ordered by inclusion.
+
+    A topology's opens are closed under binary meets and joins, so inclusion
+    makes them a distributive lattice and the frame laws need no check; only
+    the labels must tell the opens apart, which a point name holding ``,``
+    can prevent.
+    """
     s.validate()
-    labels = {o: open_label(o) for o in s.opens}
-    le = {(labels[a], labels[b]) for a in s.opens for b in s.opens if a <= b}
-    f = Frame(labels.values(), le, meanings={labels[o]: o for o in s.opens})
-    report = validate_frame(f)
-    if report.violations:
-        raise InvalidTopologyError("; ".join(report.violations))
-    return f
+    meanings = {}
+    for o in sorted(s.opens, key=lambda o: (len(o), sorted(o))):
+        label = open_label(o)
+        if label in meanings:
+            raise InvalidTopologyError(
+                f"opens {sorted(meanings[label])} and {sorted(o)} share the label {label}")
+        meanings[label] = o
+    le = {(x, y) for x, a in meanings.items() for y, b in meanings.items() if a <= b}
+    return Frame(meanings, le, meanings=meanings)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,15 @@ class TestMeetCover:
         p = Preorder.from_edges("tbcd", [("d", "b"), ("d", "c"), ("b", "t"), ("c", "t")], "t")
         assert meet_cover(f({"b"}), f({"c"}), p) == f({"d"})
 
+    @pytest.mark.parametrize("carrier,stranger", [
+        (Preorder(["a", "t"], {("a", "t")}, "t"), "zz"),
+        (SubsetCarrier(["a", "t"]), f({"zz"})),
+    ])
+    def test_a_stranger_is_rejected_beside_an_empty_cover(self, carrier, stranger):
+        for u, v in ((f(), f({stranger})), (f({stranger}), f())):
+            with pytest.raises(CarrierMismatchError):
+                meet_cover(u, v, carrier)
+
 
 class TestNormalize:
     def test_subsumed_members_removed(self, c3):

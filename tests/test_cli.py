@@ -108,10 +108,75 @@ def test_saturate_contains_composed_pair(capsys):
     assert "pair t {d e}" in out
 
 
+def test_saturate_trace_stage_counts_of_c4_fixture(capsys):
+    main(["saturate", fx("c4_covrel.cov"), "--trace"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("stage ")]
+    counts = (3, 19, 8, 3, 0)
+    assert lines == [f"stage {i}: {n} new pairs" for i, n in enumerate(counts)]
+    main(["--json", "saturate", fx("c4_covrel.cov"), "--trace"])
+    assert json.loads(capsys.readouterr().out)["trace"] == [list(p) for p in enumerate(counts)]
+
+
+C4_CHECK_REPORT = """\
+check: failed (covrel)
+  C1 violated: missing pair (b, {b})
+  C1 violated: missing pair (b, {b c})
+  C1 violated: missing pair (b, {b e})
+  C1 violated: missing pair (c, {b c})
+  C1 violated: missing pair (c, {c})
+  C1 violated: missing pair (c, {c d})
+  C1 violated: missing pair (d, {c d})
+  C1 violated: missing pair (d, {d})
+  C1 violated: missing pair (d, {d e})
+  C1 violated: missing pair (e, {b e})
+  C1 violated: missing pair (e, {d e})
+  C1 violated: missing pair (e, {e})
+  C1 violated: missing pair (t, {t})
+  C2 violated: missing pair (b, {t})
+  C2 violated: missing pair (c, {t})
+  C2 violated: missing pair (d, {b})
+  C2 violated: missing pair (d, {t})
+  C2 violated: missing pair (e, {c})
+  C2 violated: missing pair (e, {t})
+  C4 violated: missing pair (b, {c d})
+  C4 violated: missing pair (b, {d e})
+  C4 violated: missing pair (c, {b e})
+  C4 violated: missing pair (c, {d e})
+  C4 violated: missing pair (d, {b c})
+  C4 violated: missing pair (d, {b e})
+  C4 violated: missing pair (e, {b c})
+  C4 violated: missing pair (e, {c d})
+  C4 violated: missing pair (t, {b e})
+  C4 violated: missing pair (t, {c d})
+  C4 violated: missing pair (t, {d e})
+"""
+
+
 def test_check_reports_c4_violation(capsys):
-    main(["check", fx("c4_covrel.cov")])
-    out = capsys.readouterr().out
-    assert "C4 violated" in out and "{d e}" in out
+    assert main(["check", fx("c4_covrel.cov")]) == 1
+    assert capsys.readouterr().out == C4_CHECK_REPORT
+
+
+COMMA_SPACE = """\
+kind space
+points a b a,b
+open {}
+open {a,b}
+open {a b}
+open {a b a,b}
+"""
+
+
+@pytest.mark.parametrize("command", ["points", "spatial"])
+def test_space_whose_open_labels_collide_exits_2(command, tmp_path, capsys):
+    # the opens {a,b} (one point) and {a b} (two points) share a label
+    path = tmp_path / "comma.cov"
+    path.write_text(COMMA_SPACE, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "share the label {a,b}" in capsys.readouterr().out
+    assert main(["--json", command, str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exit"] == 2 and "share the label {a,b}" in payload["error"]
 
 
 def _expected_text(command, payload):

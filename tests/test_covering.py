@@ -1,5 +1,6 @@
 """C1-C4 saturation, the locally fine closure, witnesses, ranks, normality."""
 
+import os
 import random
 
 import pytest
@@ -10,14 +11,20 @@ from locfine.carrier import (
     all_canonical_covers,
     fold_meet,
     meet_cover,
+    cover_key,
     normalize,
     refines,
     restrict,
     sorted_members,
 )
+from locfine.cli import parse_structure
 from locfine.covering import (
+    AuditReport,
     CoveringMonoid,
     CoveringRelation,
+    _bits,
+    _close,
+    _CoverSpace,
     audit_axioms,
     bounded_member,
     check_witness,
@@ -35,7 +42,14 @@ from locfine.covering import (
 )
 from locfine.errors import CarrierMismatchError, LimitExceededError, LocfineError
 from locfine.formal import FormalPresentation, Judgment, covers_of_unit
-from locfine.frames import space_discrete
+from locfine.frames import (
+    frame_from_space,
+    space_chain3,
+    space_discrete,
+    space_sierpinski,
+    space_six_opens,
+)
+from locfine.products import canonical_cov, product_space
 from test_acceptance import CORPUS, _commutative_monoids_up_to, random_monoid
 
 f = frozenset
@@ -163,6 +177,174 @@ class TestSaturate:
         for idx, added in trace.stages[1:-1]:
             assert added
         assert trace.stages[-1][1] == f()
+
+
+def _reference_close(space, initial, want_provenance):
+    """The C1-C4 closure on a set of (subject id, cover id) pairs, with the
+    subject and holder indexes rebuilt every round; ``_close`` keeps one
+    subject bitmask per cover instead and must agree with it exactly."""
+    carrier = space.carrier
+    present = set(initial)
+    provenance = {}
+    stages = []
+
+    forced = []
+    for ci, c in enumerate(space.covers):
+        for m in c:
+            forced.append(((space.sid[carrier.rep(m)], ci), "C1"))
+    for a in space.subjects:
+        for b in space.subjects:
+            if carrier.le(a, b):
+                ci = space.cid[normalize([b], carrier)]
+                forced.append(((space.sid[a], ci), "C2"))
+
+    round_no = 0
+    first = True
+    while True:
+        round_no += 1
+        added = {}
+
+        def propose(pair, rule):
+            if pair not in present and pair not in added:
+                added[pair] = rule
+
+        if first:
+            for pair, rule in forced:
+                propose(pair, rule)
+        by_subject = {}
+        for (si, ci) in present:
+            by_subject.setdefault(si, []).append(ci)
+        for si, cids in sorted(by_subject.items()):
+            cids = sorted(cids)
+            for i in cids:
+                for j in cids:
+                    if i < j:
+                        propose((si, space.meet_id(i, j)), "C3")
+        holders = {}
+        for (si, ci) in present:
+            holders.setdefault(ci, set()).add(si)
+        holder_sets = {ci: frozenset(s) for ci, s in holders.items()}
+        for vi in range(len(space.covers)):
+            hs = holder_sets.get(vi, frozenset())
+            for (si, ui) in present:
+                if space.member_sids[ui] <= hs:
+                    propose((si, vi), "C4")
+        first = False
+        stage_pairs = frozenset(
+            (space.subjects[si], space.covers[ci]) for (si, ci) in added)
+        stages.append((round_no, stage_pairs))
+        if not added:
+            break
+        for pair, rule in added.items():
+            present.add(pair)
+            if want_provenance:
+                provenance[pair] = rule
+    return present, stages, provenance
+
+
+def _reference_audit(rel):
+    """``audit_axioms`` read off ``_reference_close``'s provenance."""
+    space = _CoverSpace(rel.carrier, 5000)
+    initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
+    present, _, provenance = _reference_close(space, initial, want_provenance=True)
+    buckets = {"C1": [], "C2": [], "C3": [], "C4": []}
+    for si, ci in present - initial:
+        buckets[provenance[si, ci]].append((space.subjects[si], space.covers[ci]))
+    key = lambda p: (rel.carrier.key(p[0]), cover_key(p[1], rel.carrier))
+    return AuditReport(*(tuple(sorted(buckets[r], key=key)) for r in ("C1", "C2", "C3", "C4")))
+
+
+def _random_relations(rng, count):
+    """Relations of 0-3 generators (the empty cover among the choices) over
+    random preorders of 2-6 elements with top t."""
+    out = []
+    while len(out) < count:
+        names = ["a", "b", "c", "d", "e"][:rng.randint(1, 5)] + ["t"]
+        edges = {(x, "t") for x in names}
+        edges |= {(x, y) for x in names for y in names if rng.random() < 0.25}
+        try:
+            p = Preorder.from_edges(names, edges, "t")
+        except ValueError:
+            continue
+        covers = all_canonical_covers(p)
+        gens = {(rng.choice(names), rng.choice(covers)) for _ in range(rng.randint(0, 3))}
+        out.append(CoveringRelation(p, f(gens)))
+    return out
+
+
+def _random_subset_relations(rng, count):
+    """Relations of 0-3 generators over subset carriers of 1-3 points."""
+    out = []
+    for _ in range(count):
+        c = SubsetCarrier(["x", "y", "z"][:rng.randint(1, 3)])
+        pieces = list(c.elements())
+        covers = all_canonical_covers(c)
+        gens = {(rng.choice(pieces), rng.choice(covers)) for _ in range(rng.randint(0, 3))}
+        out.append(CoveringRelation(c, f(gens)))
+    return out
+
+
+def _four_point_relations():
+    """The benchmark's 4-point shape: a two-point piece covered by its points."""
+    c = SubsetCarrier(["p", "q", "r", "s"])
+    return [CoveringRelation(c, f({(f(pair), cov(*pair))}))
+            for pair in (("p", "q"), ("q", "s"))]
+
+
+def _closed_relations():
+    """Closed relations: ``canonical_cov`` of small frames, and ``saturate``
+    outputs of a few random relations."""
+    spaces = [space_sierpinski(), space_chain3(), space_six_opens(),
+              product_space([space_sierpinski(), space_sierpinski()]),
+              product_space([space_chain3(), space_sierpinski()])]
+    out = [canonical_cov(frame_from_space(s)) for s in spaces]
+    out += [saturate(rel)[0] for rel in _random_relations(random.Random(5), 10)]
+    return out
+
+
+def _frame_generator_relations(rng, count):
+    """The benchmark's frame shape: 1-3 pairs of ``canonical_cov`` of the
+    10-element frame chain3 x Sierpinski, as generators."""
+    closed = canonical_cov(frame_from_space(product_space([space_chain3(), space_sierpinski()])))
+    pairs = closed.sorted_pairs()
+    return [CoveringRelation(closed.carrier, f(rng.sample(pairs, rng.randint(1, 3))))
+            for _ in range(count)]
+
+
+def _c4_relations():
+    with open(os.path.join(os.path.dirname(__file__), "fixtures", "c4_covrel.cov"),
+              encoding="utf-8") as fh:
+        _, rel = parse_structure(fh.read())
+    p = Preorder.from_edges("tbcde", [("b", "t"), ("c", "t"), ("d", "b"), ("e", "c")], "t")
+    return [rel, CoveringRelation(p, f({("t", f({"b", "c"})), ("b", f({"d"})),
+                                        ("c", f({"e"}))}))]
+
+
+CLOSE_CORPUS = {
+    "random-preorders": lambda: _random_relations(random.Random(31), 150),
+    "subset-carriers": lambda: _random_subset_relations(random.Random(37), 80),
+    "four-points": _four_point_relations,
+    "closed": _closed_relations,
+    "frame-generators": lambda: _frame_generator_relations(random.Random(43), 12),
+    "c4-fixtures": _c4_relations,
+}
+
+
+class TestCloseMatchesReference:
+    """``_close`` keeps one subject bitmask per cover; it must give the
+    reference's pairs, stage sets and provenance, and so the same audit."""
+
+    @pytest.mark.parametrize("family", sorted(CLOSE_CORPUS))
+    def test_pairs_stages_and_provenance(self, family):
+        for rel in CLOSE_CORPUS[family]():
+            space = _CoverSpace(rel.carrier, 5000)
+            initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
+            held, stages, provenance = _close(space, initial)
+            want = _reference_close(space, initial, want_provenance=True)
+            assert {(si, ci) for ci, mask in enumerate(held) for si in _bits(mask)} == want[0]
+            assert stages == want[1]
+            assert provenance == want[2]
+            assert audit_axioms(rel) == _reference_audit(rel)
 
 
 class TestAudit:

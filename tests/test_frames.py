@@ -1,7 +1,7 @@
 """Frames of finite spaces, points, spatiality, isomorphism."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -59,6 +59,20 @@ class TestFrameFromSpace:
             frame_from_space(bad)
 
 
+    def test_opens_whose_labels_collide_are_rejected(self):
+        # the one point "a,b" and the two points a, b both label as {a,b}
+        s = SpaceDescription(f({"a", "b", "a,b"}),
+                             f({f(), f({"a,b"}), f({"a", "b"}), f({"a", "b", "a,b"})}))
+        s.validate()
+        with pytest.raises(InvalidTopologyError, match=r"\['a,b'\] and \['a', 'b'\]"):
+            frame_from_space(s)
+
+
+def _base_spaces():
+    return [space_one_point(), space_sierpinski(), space_chain3(), space_six_opens(),
+            space_discrete("ab")]
+
+
 class TestValidateFrame:
     def test_chain_is_valid(self):
         assert validate_frame(chain_frame(3)).ok
@@ -69,8 +83,12 @@ class TestValidateFrame:
         assert any("Heyting" in v for v in report.violations)
 
     def test_space_frames_are_valid(self):
-        for s in (space_one_point(), space_sierpinski(), space_chain3(),
-                  space_six_opens(), space_discrete("ab")):
+        # frame_from_space does not validate: the opens of a topology are a
+        # distributive lattice under inclusion, which this keeps checked
+        spaces = _base_spaces() + all_t0_spaces_on(["0", "1", "2"])
+        spaces += [product_space(pair) for pair in
+                   combinations_with_replacement(_base_spaces(), 2)]
+        for s in spaces:
             assert validate_frame(frame_from_space(s)).ok
 
     def test_accepts_exactly_distributive_lattices(self):
