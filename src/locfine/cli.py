@@ -36,6 +36,7 @@ from .covering import (
     rank,
     saturate,
     witness_tree,
+    _fmt_cover,
 )
 from .errors import InvalidTopologyError, LimitExceededError, LocfineError
 from .formal import FormalPresentation, Judgment, derivation, entails
@@ -362,12 +363,6 @@ def _cmd_spatial(args, out):
     return 0 if ok else 1
 
 
-def _fmt_any_cover(u, carrier):
-    if isinstance(carrier, SubsetCarrier):
-        return _fmt_cover_of_sets(u)
-    return _fmt_set(u)
-
-
 def _cmd_lambda(args, out):
     _, m = _load(args.file, want=("monoid",))
     closed, trace = lambda_close(m, variant=args.variant)
@@ -375,7 +370,7 @@ def _cmd_lambda(args, out):
             basis=[_cover_json(u) for u in closed.basis])
     out.say(f"lambda basis: {len(closed.basis)} covers")
     for u in closed.basis:
-        out.say("  cover " + _fmt_any_cover(u, m.carrier))
+        out.say("  cover " + _fmt_cover(u, m.carrier))
     if args.rank:
         r = rank(m)
         out.put(rank=r)
@@ -386,7 +381,7 @@ def _cmd_lambda(args, out):
             for idx, added in trace.stages]
         out.put(trace=stages)
         for idx, added in trace.stages:
-            shown = " | ".join(_fmt_any_cover(u, m.carrier) for u in sorted(
+            shown = " | ".join(_fmt_cover(u, m.carrier) for u in sorted(
                 added, key=lambda u: cover_key(u, m.carrier)))
             out.say(f"stage {idx}: {shown if shown else '(nothing new)'}")
     return 0
@@ -409,7 +404,7 @@ def _cmd_saturate(args, out):
 
 
 def _parse_cover_arg(text):
-    toks = _TOKEN.findall(text)
+    toks = _tokens(text)
     return frozenset(_set_literal(t) for t in toks)
 
 
@@ -468,29 +463,35 @@ def _cmd_coproduct(args, out):
 def _cmd_game(args, out):
     _, g = _load(args.file, want=("game",))
     result = solve(g)
+    plays = moves = None
+    if args.strategy and result.winner is Player.I:
+        plays = sorted(result.strategy.moves.items(), key=lambda pu: tuple(sorted(pu[0])))
+        moves, pieces = {}, {}
+        for p, u in plays:
+            key = ",".join(sorted(p)) or "{}"    # a name may itself hold ','
+            if key in pieces:
+                raise ParseError(f"pieces {_fmt_set(pieces[key])} and {_fmt_set(p)} "
+                                 f"share the strategy key {key!r}")
+            pieces[key], moves[key] = p, _cover_json(u)
     winner = "I" if result.winner is Player.I else "II"
     out.put(command="game", file=args.file, winner=winner,
             winning=len(result.winning_set))
     out.say(f"winner: Player {winner}")
     out.say(f"winning pieces: {len(result.winning_set)}")
     if args.strategy:
-        if result.winner is Player.I:
-            moves = {",".join(sorted(p)) or "{}": _cover_json(u)
-                     for p, u in result.strategy.moves.items()}
-            out.put(strategy=moves)
-            out.say("strategy:")
-            for p in sorted(result.strategy.moves, key=lambda p: tuple(sorted(p))):
-                out.say("  at " + _fmt_set(p) + " play "
-                        + _fmt_cover_of_sets(result.strategy.moves[p]))
-        else:
-            out.put(strategy=None)
+        out.put(strategy=moves)
+        if moves is None:
             out.say("strategy: none (Player II wins)")
+        else:
+            out.say("strategy:")
+            for p, u in plays:
+                out.say("  at " + _fmt_set(p) + " play " + _fmt_cover_of_sets(u))
     return 0
 
 
 def _cmd_entail(args, out):
     _, p = _load(args.file, want=("formal",))
-    toks = _TOKEN.findall(args.judgment)
+    toks = _tokens(args.judgment)
     if len(toks) != 2:
         raise ParseError("judgment must look like: subject {a b}")
     j = Judgment(_name(toks[0]), _set_literal(toks[1]))

@@ -6,7 +6,8 @@ Two closure engines live here:
   covering-relation axioms: C1 membership, C2 order, C3 meets, C4
   transitivity.  Pairs are kept in canonical form (class-representative
   subjects, normalized covers), which bounds the state space and makes the
-  round-based derivation deterministic.
+  round-based derivation deterministic.  The rounds are semi-naive, and
+  their kernel ``_rounds`` also saturates formal entailment.
 
 * ``lambda_close`` closes a monoid of covers of the top element under the
   locally fine combination.  A monoid's own membership asks for a single
@@ -24,7 +25,6 @@ enumeration).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from . import carrier as oc
 from .carrier import (
@@ -158,6 +158,8 @@ class _CoverSpace:
         return self.sid[a], self.cid[u]
 
     def meet_id(self, i, j):
+        if i == j:              # a normalized cover is its own meet
+            return i
         if i > j:
             i, j = j, i
         got = self._meets.get((i, j))
@@ -175,14 +177,72 @@ def _bits(mask):
         mask ^= low
 
 
+def _rounds(held, seeds, combine, members, order, rules):
+    """Semi-naive closure of (subject, cover) facts; returns the rounds.
+
+    ``held[c]``, the bitmask of subjects s with (s, c) derived, is updated in
+    place.  Round one proposes the ``seeds`` (rule, cover, subject mask).
+    Every round proposes, from the facts held before it, ``combine(i, j)``
+    from (s, i) and (s, j) for i no later than j in ``order``, then v from
+    (s, u) when every subject in ``members[u]`` holds v; ``rules`` names the
+    two.  Only proposals with a premise new in the round before are visited
+    (round one counts every initial fact as new): the others added nothing
+    then.  They are visited in naive order and a new fact keeps its first
+    proposer.  A round lists (rule, cover, new subject mask, premise covers);
+    the last round is empty.
+    """
+    combine_rule, compose_rule = rules
+    delta = list(held)
+    rounds = []
+    while True:
+        gained = [0] * len(held)
+        found = []
+        for rule, c, mask in seeds:
+            fresh = mask & ~(held[c] | gained[c])
+            if fresh:
+                gained[c] |= fresh
+                found.append((rule, c, fresh, ()))
+        live = [c for c in order if held[c]]
+        changed = [c for c in live if delta[c]]
+        k = 0                   # changed[k:] lie at or after i in ``order``
+        for x, i in enumerate(live):
+            hi, di = held[i], delta[i]
+            if di:
+                k += 1
+            for j in live[x:] if di else changed[k:]:
+                mask = di & held[j] | hi & delta[j]
+                if mask:
+                    w = combine(i, j)
+                    fresh = mask & ~(held[w] | gained[w])
+                    if fresh:
+                        gained[w] |= fresh
+                        found.append((combine_rule, w, fresh, (i, j)))
+        for u in live:
+            hu, du, mu = held[u], delta[u], members[u]
+            for v in order if du else changed:
+                hv = held[v]
+                if mu & ~hv:
+                    continue
+                fresh = (hu if mu & delta[v] else du) & ~(hv | gained[v])
+                if fresh:
+                    gained[v] |= fresh
+                    found.append((compose_rule, v, fresh, (u,)))
+        rounds.append(found)
+        if not found:
+            return rounds
+        for c, g in enumerate(gained):
+            held[c] |= g
+        delta, seeds = gained, ()
+
+
 def _close(space, initial):
     """Round-based closure under C1-C4; returns (held, stage list, provenance).
 
-    ``held[c]`` is the bitmask of the subject ids s with (s, c) derived.  Each
-    round proposes, from the pairs held before it: C1 and C2 in the first
-    round only; C3, ``held[i] & held[j]`` into the meet of covers i < j; C4,
-    ``held[u]`` into v whenever every member of u holds v.  A new pair is
-    credited to the first rule that proposes it, in the order C1, C2, C3, C4.
+    ``held[c]`` is the bitmask of the subject ids s with (s, c) derived.  C1
+    and C2 seed round one; C3 combines two covers of a subject into their
+    meet and C4 is transitivity, both run by ``_rounds`` over the cover ids.
+    A new pair is credited to the first rule that proposes it, in the order
+    C1, C2, C3, C4.
     """
     n = len(space.covers)
     members = [sum(1 << s for s in m) for m in space.member_sids]
@@ -198,25 +258,14 @@ def _close(space, initial):
     seeds = [("C1", ci, m) for ci, m in enumerate(members)]
     seeds += [("C2", ci, m) for ci, m in enumerate(below)]
     provenance, stages = {}, []
-    while True:
-        live = [c for c in range(n) if held[c]]
-        c3 = (("C3", space.meet_id(i, j), held[i] & held[j])
-              for x, i in enumerate(live) for j in live[x + 1:] if held[i] & held[j])
-        c4 = (("C4", v, held[u]) for v in range(n) for u in live
-              if not members[u] & ~held[v])
-        new, added = [0] * n, []
-        for rule, ci, mask in chain(seeds, c3, c4):
-            fresh = mask & ~(held[ci] | new[ci])
-            if fresh:
-                new[ci] |= fresh
-                for si in _bits(fresh):
-                    provenance[si, ci] = rule
-                    added.append((space.subjects[si], space.covers[ci]))
+    for found in _rounds(held, seeds, space.meet_id, members, range(n), ("C3", "C4")):
+        added = []
+        for rule, ci, fresh, _ in found:
+            for si in _bits(fresh):
+                provenance[si, ci] = rule
+                added.append((space.subjects[si], space.covers[ci]))
         stages.append((len(stages) + 1, frozenset(added)))
-        if not added:
-            return held, stages, provenance
-        held = [h | d for h, d in zip(held, new)]
-        seeds = ()
+    return held, stages, provenance
 
 
 def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):

@@ -6,19 +6,18 @@ closed under four rules: membership (a in U), divisibility (a*b |= {a}),
 products (a |= U and a |= V give a |= U*V), and transitivity (a |= U and
 u |= V for every u in U give a |= V).  Transitivity is the relational face
 of the locally fine closure, so the covers of the unit always form a
-locally fine monoid over the divisibility preorder.  Saturation is
-semi-naive: a rule fires only when one of its premises was derived in the
-previous round, so every judgment keeps the rule and premises that first
-derive it in the naive round order.
+locally fine monoid over the divisibility preorder.  Saturation runs on the
+semi-naive round kernel of the C1-C4 closure, ``covering._rounds``: the
+product rule plays the part of C3 and transitivity that of C4, and every
+judgment keeps the rule and premises that first derive it in naive order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 
 from .carrier import Preorder, cover_key, subsets
-from .covering import CoveringMonoid, CoveringRelation
+from .covering import CoveringMonoid, CoveringRelation, _bits, _rounds
 
 
 @dataclass(frozen=True)
@@ -103,106 +102,53 @@ def _saturate_judgments(p: FormalPresentation):
     each one, in deterministic round order.
 
     An element is its index in ``p.elements`` and a cover is a bitmask of
-    indices; a judgment ``a |= m`` is keyed ``a << n | m`` until the
-    ``Judgment`` objects are built at the end.  Candidates are visited in
-    the naive order (subject, then first premise, then second premise or
-    target cover), skipping those whose premises all predate the last round:
-    the round before already proposed them.
+    indices, so a cover's members are its own bits.  ``covering._rounds``
+    derives the judgments: the axiom, member and divide instances seed round
+    one, the cover product combines two covers of a subject, and compose is
+    transitivity; covers are visited in sorted-member order.  Each round's
+    judgments are inserted by subject, then cover, and their premises are
+    rebuilt from the stored covers.
     """
     names = p.elements
     n = len(names)
     full = 1 << n
-    low_bits = full - 1
     index = {x: i for i, x in enumerate(names)}
     members = [tuple(i for i in range(n) if m >> i & 1) for m in range(full)]
-    rank = [0] * full           # a cover's place in sorted-member order
-    for r, m in enumerate(sorted(range(full), key=members.__getitem__)):
-        rank[m] = r
-    covers = sorted(range(full), key=lambda m: (len(members[m]), members[m]))
+    order = sorted(range(full), key=members.__getitem__)
     mul = [[index[p.product(x, y)] for y in names] for x in names]
-    times = []                  # times[i][m]: the cover {i} * m
+    rows = [None] * full        # rows[c][m]: the cover c * m, built on demand
+    rows[0] = [0] * full
     for i in range(n):
-        row = [0] * full
+        row = rows[1 << i] = [0] * full
         for m in range(1, full):
             low = m & -m
             row[m] = row[m ^ low] | 1 << mul[i][low.bit_length() - 1]
-        times.append(row)
-    product_rows = {}
 
-    def product_row(c):
-        """The covers c * m for every m, built once per call."""
-        row = product_rows.get(c)
+    def product(c, m):
+        row = rows[c]
         if row is None:
-            row = [0] * full
-            for i in members[c]:
-                row = [x | y for x, y in zip(row, times[i])]
-            product_rows[c] = row
-        return row
+            low = c & -c
+            product(c ^ low, 0)         # builds rows[c ^ low]
+            row = rows[c] = [x | y for x, y in zip(rows[c ^ low], rows[low])]
+        return row[m]
 
-    def jkey(k):
-        return k >> n, rank[k & low_bits]
-
-    batch = {}
-    for j in p.axioms:
-        m = sum(1 << index[x] for x in j.cover)
-        batch.setdefault(index[j.subject] << n | m, ("axiom", ()))
-    for m in covers:
-        for a in members[m]:
-            batch.setdefault(a << n | m, ("member", ()))
-    for a in range(n):
-        for b in range(n):
-            batch.setdefault(mul[a][b] << n | 1 << a, ("divide", ()))
-
+    seeds = [("axiom", sum(1 << index[x] for x in j.cover), 1 << index[j.subject])
+             for j in p.axioms]
+    seeds += [("member", m, m) for m in range(full)]
+    seeds += [("divide", 1 << a, sum(1 << x for x in set(mul[a]))) for a in range(n)]
     derived = {}
-    sup = [0] * full            # sup[m]: the subjects a with a |= m derived
-    by_subject = [[] for _ in range(n)]     # derived covers, in rank order
-    while batch:
-        new_sup = [0] * full
-        fresh = [[] for _ in range(n)]      # last round's covers, rank order
-        for k in sorted(batch, key=jkey):
-            derived[k] = batch[k]
-            a, m = k >> n, k & low_bits
-            sup[m] |= 1 << a
-            new_sup[m] |= 1 << a
-            fresh[a].append(m)
-        changed = [v for v in covers if new_sup[v]]
-        batch = {}
-        for a in range(n):
-            bit = 1 << a
-            new_covers = fresh[a]
-            is_new = set(new_covers)
-            js = by_subject[a] = sorted(by_subject[a] + new_covers,
-                                        key=rank.__getitem__)
-            # product: pairs c1 <= c2 in rank order, at least one new (the
-            # cover product commutes, so c1 > c2 is never a first proposer)
-            if new_covers:
-                new_ranks = [rank[m] for m in new_covers]
-                for pos, c1 in enumerate(js):
-                    row = product_row(c1)
-                    if c1 in is_new:
-                        seconds = js[pos:]
-                    else:
-                        seconds = new_covers[bisect(new_ranks, rank[c1]):]
-                    for c2 in seconds:
-                        w = row[c2]
-                        k = a << n | w
-                        if not sup[w] & bit and k not in batch:
-                            batch[k] = ("product", (a << n | c1, a << n | c2))
-            # compose: a |= c and u |= v for all u in c, one of them new
-            for c in js:
-                c_new = c in is_new
-                for v in covers if c_new else changed:
-                    s = sup[v]
-                    if s & bit or c & ~s or not (c_new or c & new_sup[v]):
-                        continue
-                    k = a << n | v
-                    if k not in batch:
-                        batch[k] = ("compose", (a << n | c,)
-                                    + tuple(u << n | v for u in members[c]))
+    for found in _rounds([0] * full, seeds, product, range(full), order,
+                         ("product", "compose")):
+        batch = {(a, members[c]): (c, rule, covers)
+                 for rule, c, fresh, covers in found for a in _bits(fresh)}
+        for (a, _), (c, rule, covers) in sorted(batch.items()):
+            premises = tuple((a, q) for q in covers)
+            if rule == "compose":
+                premises += tuple((u, c) for u in members[covers[0]])
+            derived[a, c] = rule, premises
 
     cover_sets = [frozenset(names[i] for i in members[m]) for m in range(full)]
-    judgments = {k: Judgment(names[k >> n], cover_sets[k & low_bits])
-                 for k in derived}
+    judgments = {k: Judgment(names[k[0]], cover_sets[k[1]]) for k in derived}
     return {judgments[k]: (rule, tuple(judgments[q] for q in premises))
             for k, (rule, premises) in derived.items()}
 

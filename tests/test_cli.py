@@ -303,7 +303,27 @@ def _bad_start_game(tmp_path):
     return str(path)
 
 
+COMMA_GAME = ("kind game\npoints a b,c a,b c\ncover {a} {b,c} {a,b} {c}\n"
+              "target {a} {b,c} {a,b} {c}\n")
+
+
+def _comma_game(tmp_path):
+    """Pieces {a, b,c} and {a,b, c} both join to the strategy key 'a,b,c'."""
+    path = tmp_path / "comma_game.cov"
+    path.write_text(COMMA_GAME, encoding="utf-8")
+    return str(path)
+
+
 INVALID_ARGUMENTS = {
+    "entail-stray-brace":
+        lambda tmp: ["entail", fx("formal_meet.cov"), "--judgment", "0 {0}}"],
+    "witness-stray-brace":
+        lambda tmp: ["witness", fx("crossing_monoid.cov"), "--target", "{0 1 2} }"],
+    "bounded-stray-brace":
+        lambda tmp: ["bounded", fx("crossing_monoid.cov"), "--target", "{0 1 2} }",
+                     "--depth", "1"],
+    "game-strategy-key-collision":
+        lambda tmp: ["game", _comma_game(tmp), "--strategy"],
     "witness-target-outside-carrier":
         lambda tmp: ["witness", fx("overlap_monoid.cov"), "--target", "{7}"],
     "bounded-target-outside-carrier":
@@ -320,6 +340,15 @@ INVALID_ARGUMENTS = {
 @pytest.mark.parametrize("case", sorted(INVALID_ARGUMENTS))
 def test_invalid_arguments_exit_2_without_traceback(case, tmp_path, capsys):
     _assert_exits_2_without_traceback(INVALID_ARGUMENTS[case](tmp_path), capsys)
+
+
+def test_strategy_key_collision_names_both_pieces(tmp_path, capsys):
+    path = _comma_game(tmp_path)
+    assert main(["game", path]) == 0
+    capsys.readouterr()
+    assert main(["game", path, "--strategy"]) == 2
+    out = capsys.readouterr().out
+    assert "{a b,c}" in out and "{a,b c}" in out
 
 
 SHORT_ROWS = {

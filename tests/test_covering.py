@@ -25,6 +25,7 @@ from locfine.covering import (
     _bits,
     _close,
     _CoverSpace,
+    _rounds,
     audit_axioms,
     bounded_member,
     check_witness,
@@ -345,6 +346,49 @@ class TestCloseMatchesReference:
             assert stages == want[1]
             assert provenance == want[2]
             assert audit_axioms(rel) == _reference_audit(rel)
+
+
+class TestRoundsAreSemiNaive:
+    """``_rounds`` combines two covers only when one of them gained a fact in
+    the round before (every initial fact counts as gained before round one);
+    a naive kernel combines every pair of held covers in every round."""
+
+    @pytest.mark.parametrize("family", ["c4-fixtures", "frame-generators", "four-points"])
+    def test_unchanged_pairs_are_not_combined(self, family):
+        idle_pairs = 0
+        for rel in CLOSE_CORPUS[family]():
+            space = _CoverSpace(rel.carrier, 5000)
+            members = [sum(1 << s for s in m) for m in space.member_sids]
+            held = [0] * len(space.covers)
+            for a, u in rel.pairs:
+                si, ci = space.canon_pair(a, u)
+                held[ci] |= 1 << si
+            calls = []
+
+            def combine(i, j):
+                calls.append((tuple(held), i, j))
+                return space.meet_id(i, j)
+
+            before = [tuple(held)]          # the state before each round
+            seeds = [("C1", ci, m) for ci, m in enumerate(members)]
+            for found in _rounds(held, seeds, combine, members, range(len(held)),
+                                 ("C3", "C4")):
+                state = list(before[-1])
+                for _, c, fresh, _ in found:
+                    state[c] |= fresh
+                before.append(tuple(state))
+            assert before[-1] == tuple(held)
+            round_of = {state: r for r, state in enumerate(before[:-1])}
+            gained = [before[0]] + [tuple(x & ~y for x, y in zip(now, then))
+                                    for then, now in zip(before, before[1:])]
+            for state, i, j in calls:
+                news = gained[round_of[state]]
+                assert news[i] or news[j], (round_of[state], i, j)
+            for r in range(1, len(before) - 1):
+                live = [c for c, h in enumerate(before[r]) if h]
+                idle_pairs += sum(1 for x, i in enumerate(live) for j in live[x:]
+                                  if not gained[r][i] | gained[r][j])
+        assert idle_pairs     # a naive kernel would combine these
 
 
 class TestAudit:
