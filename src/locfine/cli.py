@@ -29,6 +29,7 @@ from .covering import (
     CoveringMonoid,
     CoveringRelation,
     NoetherianTree,
+    _fmt_cover,
     audit_axioms,
     bounded_member,
     lambda_close,
@@ -36,7 +37,6 @@ from .covering import (
     rank,
     saturate,
     witness_tree,
-    _fmt_cover,
 )
 from .errors import InvalidTopologyError, LimitExceededError, LocfineError
 from .formal import FormalPresentation, Judgment, derivation, entails
