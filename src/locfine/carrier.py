@@ -90,9 +90,8 @@ class Preorder:
     the constructor checks this and raises ``ValueError`` otherwise, naming
     the least offending triple or element.  Use ``Preorder.from_edges`` to
     build one from a sparse edge list (the reflexive-transitive closure is
-    taken automatically).  Like a ``Frame``, it keeps each element's up-set
-    and down-set, and meets, maximal members and class representatives are
-    read from them.
+    taken automatically).  It keeps each element's up-set and down-set, and
+    meets, maximal members and class representatives are read from them.
     """
 
     def __init__(self, elements: Iterable[str], le_pairs: Iterable[tuple], top: str):

@@ -10,9 +10,10 @@ join-prime element, which is how they are enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
-from .carrier import _order, subsets
+from .carrier import subsets
 from .errors import InvalidTopologyError
 
 
@@ -62,15 +63,19 @@ def open_label(o) -> str:
 
 
 class Frame:
-    """A finite order whose joins and meets are looked up from its up-sets.
+    """A finite order kept as two int bitmasks per element: its up-set and
+    its down-set, bit i standing for the i-th element of the frame's bit
+    order (the sorted names, for a frame built from a relation).
 
-    The up-set and the down-set of each element are the only order data
-    kept.  On a transitive relation x is the least upper bound of a set
-    exactly when ``up(x)`` is the set's common upper bounds, so a join is
-    one dictionary lookup of an intersection of up-sets, and a meet the same
-    with down-sets (Johnstone, *Stone Spaces*, I.4).  A join or meet that
-    does not exist, or that two mutually-below elements would share, is
-    ``None``.
+    On a transitive relation x is the least upper bound of a set exactly when
+    ``up(x)`` is the set's common upper bounds, so a join is an AND of
+    up-masks plus one dictionary lookup, and a meet the same with down-masks
+    (Johnstone, *Stone Spaces*, I.4); ``le`` is a bit test, false for a name
+    that is not an element.  A join or meet that does not exist, or that two
+    mutually-below elements would share, is ``None``.  ``up_set`` and
+    ``down_set`` give the same order as frozensets of names, built on first
+    read and cached; so is ``le_set`` on a frame read from masks, while a
+    frame built from a relation keeps that relation, made reflexive.
 
     Construction does not enforce the frame laws; ``validate_frame`` reports
     every violated law so that broken inputs can be diagnosed.  ``meanings``
@@ -79,17 +84,45 @@ class Frame:
     """
 
     def __init__(self, elements, le_pairs, meanings=None):
-        self.elements = tuple(sorted(set(elements)))
-        self.le_set, self._up, self._down = _order(self.elements, le_pairs)
+        names = tuple(sorted(set(elements)))
+        bit = {x: 1 << i for i, x in enumerate(names)}
+        up, down = dict(bit), dict(bit)
+        self.le_set = frozenset(le_pairs).union(zip(names, names))
+        for a, b in self.le_set:
+            if a not in bit or b not in bit:
+                raise ValueError(f"relation mentions unknown element: {(a, b)}")
+            up[a] |= bit[b]
+            down[b] |= bit[a]
+        self._setup(names, bit, up, down, meanings)
+
+    @classmethod
+    def _from_masks(cls, order, up, down, meanings=None, join_dense=None):
+        """A frame read from masks: ``order`` names the element of each bit,
+        and ``join_dense``, when given, is the mask of a set every element
+        is a join of, so that only its members can be join-prime."""
+        self = cls.__new__(cls)
+        self._setup(order, {x: 1 << i for i, x in enumerate(order)}, up, down,
+                    meanings, join_dense)
+        return self
+
+    def _setup(self, order, bit, up, down, meanings, join_dense=None):
+        self.elements = tuple(sorted(order))
+        self._by_bit = order
+        self._bit = bit
+        self._up, self._down = up, down
+        self._all = (1 << len(order)) - 1
+        self._by_up = _owners(up)
+        self._by_down = _owners(down)
+        self._up_sets, self._down_sets = {}, {}
+        self._join_dense = join_dense
+        self._primes = None
         self.meanings = dict(meanings) if meanings else None
-        self._by_up = _owners(self._up)
-        self._by_down = _owners(self._down)
-        self._everything = frozenset(self.elements)
         self.bottom = self.big_join(())
         self.top = self.big_meet(())
 
     def le(self, a, b) -> bool:
-        return (a, b) in self.le_set
+        up, bit = self._up.get(a), self._bit.get(b)
+        return up is not None and bit is not None and bool(up & bit)
 
     def join(self, a, b):
         return self._by_up.get(self._up[a] & self._up[b])
@@ -99,19 +132,57 @@ class Frame:
 
     def big_join(self, xs):
         """Least upper bound of ``xs`` (the bottom when empty), or None."""
-        return self._by_up.get(self._everything.intersection(
-            *(self._up[x] for x in xs)))
+        acc = self._all
+        for x in xs:
+            acc &= self._up[x]
+        return self._by_up.get(acc)
 
     def big_meet(self, xs):
         """Greatest lower bound of ``xs`` (the top when empty), or None."""
-        return self._by_down.get(self._everything.intersection(
-            *(self._down[x] for x in xs)))
+        acc = self._all
+        for x in xs:
+            acc &= self._down[x]
+        return self._by_down.get(acc)
+
+    @cached_property
+    def le_set(self):
+        return frozenset((a, b) for a in self.elements for b in self.up_set(a))
 
     def down_set(self, x):
-        return self._down[x]
+        got = self._down_sets.get(x)
+        if got is None:
+            got = self._down_sets[x] = self._names(self._down[x])
+        return got
 
     def up_set(self, x):
-        return self._up[x]
+        got = self._up_sets.get(x)
+        if got is None:
+            got = self._up_sets[x] = self._names(self._up[x])
+        return got
+
+    def _names(self, mask):
+        return frozenset(self._by_bit[i] for i in _bits(mask))
+
+    def _join_primes(self):
+        """The mask of the elements ``points_of`` accepts, computed once.
+
+        Given a join-dense set, every element is the join of the members
+        below it, so only members can be join-prime, and the join of the
+        elements not above q is the join of the members not above q.
+        """
+        if self._primes is None:
+            pool = self._all if self._join_dense is None else self._join_dense
+            ups = [self._up[x] for x in self._by_bit]
+            primes = 0
+            for q in _bits(pool):
+                acc = self._all
+                for i in _bits(pool & ~ups[q]):
+                    acc &= ups[i]
+                j = self._by_up.get(acc)
+                if j is None or not ups[q] & self._bit[j]:
+                    primes |= 1 << q
+            self._primes = primes
+        return self._primes
 
     def meaning(self, x):
         if self.meanings is None:
@@ -125,11 +196,19 @@ class Frame:
         return f"Frame({len(self.elements)} elements)"
 
 
-def _owners(sets):
-    """Map each set to the element it belongs to, or to None when shared."""
+def _bits(mask):
+    """The indices of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _owners(masks):
+    """Map each mask to the element it belongs to, or to None when shared."""
     out = {}
-    for x, s in sets.items():
-        out[s] = None if s in out else x
+    for x, m in masks.items():
+        out[m] = None if m in out else x
     return out
 
 
@@ -220,26 +299,30 @@ def points_of(f: Frame):
     join-prime element q, and q is join-prime exactly when the elements not
     above q form a principal ideal, that is, when their join is still not
     above q (Davey & Priestley, ch. 10).  The bottom fails the test: no
-    element lies outside its up-set, and the empty join is the bottom.
+    element lies outside its up-set, and the empty join is the bottom.  A
+    generated locale's frame knows a join-dense set, the images of the
+    generators, and tests only its members against their own joins.
     """
-    return tuple(
-        Point(least=q, filter=f.up_set(q)) for q in f.elements
-        if not f.le(q, f.big_join(x for x in f.elements if not f.le(q, x))))
+    primes = f._join_primes()
+    return tuple(Point(least=q, filter=f.up_set(q))
+                 for q in f.elements if primes & f._bit[q])
 
 
 def point_extent(f: Frame, x) -> frozenset:
     """The set of points whose filter contains x."""
-    if x not in set(f.elements):
+    down = f._down.get(x)
+    if down is None:
         raise KeyError(f"unknown frame element: {x!r}")
-    return frozenset(p for p in points_of(f) if x in p.filter)
+    return frozenset(Point(least=q, filter=f.up_set(q))
+                     for q in f._names(down & f._join_primes()))
 
 
 def is_spatial(f: Frame):
     """Whether x -> extent(x) is injective; on failure return a witness pair."""
-    pts = points_of(f)
+    primes = f._join_primes()
     seen = {}
     for x in f.elements:
-        ext = frozenset(p for p in pts if x in p.filter)
+        ext = f._down[x] & primes
         if ext in seen:
             return False, (seen[ext], x)
         seen[ext] = x

@@ -2,19 +2,27 @@
 
 A covering relation generates a locale of saturations sat(U) = {b : Cov(b,
 U)}, ordered by inclusion and canonical, as U <= V exactly when sat(U) is
-contained in sat(V).  One kernel, ``_Coverage``, computes each sat(U) as the
-least fixpoint of Horn rules by counter propagation (Dowling & Gallier,
-1984).  The coproduct of finite frames is generated on the weak product by
-single-coordinate splits (a, U), U replacing one coordinate of a by a family
-join-dominating it; each split is one rule.  As sat(U | {b}) depends only on
-sat(U) (C4), one fold finds every locale element, one class representative
-at a time.
+contained in sat(V).  One kernel, ``_Coverage``, computes saturations as
+least fixpoints of Horn rules (Dowling & Gallier, 1984).  The coproduct of
+finite frames is generated on the weak product by single-coordinate splits
+(a, U), U replacing one coordinate of a by a family join-dominating it;
+each split is one rule.  As sat(U | {b}) is the least closed superset of
+sat(U) and b (C4), one fold finds every locale element, one class
+representative at a time, each step growing the closed set it holds.
+
+The locale's order is read from saturation columns: with col[b] the int
+bitmask of the elements whose saturation holds b, the elements above s are
+the AND of col[b] over b in s, and those below s the AND of the complements
+of col[b] over b not in s.  Every element is the join of the images
+sat({b}) below it, so the frame's point search tests only those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
+from operator import and_
 
 from .carrier import (
     Preorder,
@@ -133,36 +141,70 @@ class GeneratedLocale:
         self._by_set = {self.frame.meaning(x): x for x in self.frame.elements}
 
 
-def _locale_from_sats(carrier, cov, sats_with_reps) -> GeneratedLocale:
+def _locale_from_sats(carrier, cov, sats_with_reps, generators=None) -> GeneratedLocale:
+    """The locale of the given saturations, labelled x0, x1, ... by size.
+
+    The order comes from the columns col[b], as the module describes.
+    ``generators``, when given, are saturations that every element is the
+    join of; only they can be join-prime, so the point search tests only
+    them.
+    """
+    atoms = frozenset().union(*sats_with_reps)
+    rank = {b: r for r, b in enumerate(sorted(atoms, key=carrier.key))}
     ordered = sorted(sats_with_reps,
-                     key=lambda s: (len(s), tuple(sorted(carrier.key(e) for e in s))))
-    labels = {s: f"x{i}" for i, s in enumerate(ordered)}
-    le = {(labels[a], labels[b]) for a in ordered for b in ordered if a <= b}
-    frame = Frame(labels.values(), le, meanings={labels[s]: s for s in ordered})
-    reps = {labels[s]: sats_with_reps[s] for s in ordered}
+                     key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
+    labels = tuple(f"x{i}" for i in range(len(ordered)))
+    index = {s: i for i, s in enumerate(ordered)}
+    n = len(ordered)
+    cols = {b: bytearray((n + 7) // 8) for b in atoms}
+    for i, s in enumerate(ordered):
+        for b in s:
+            cols[b][i >> 3] |= 1 << (i & 7)
+    full = (1 << n) - 1
+    col = {b: int.from_bytes(c, "little") for b, c in cols.items()}
+    outside = {b: full ^ c for b, c in col.items()}
+    up, down = {}, {}
+    for i, s in enumerate(ordered):
+        up[labels[i]] = reduce(and_, map(col.__getitem__, s), full)
+        # sorted by size, so no subset of s comes later: start from bits 0..i
+        down[labels[i]] = reduce(and_, map(outside.__getitem__, atoms - s), (2 << i) - 1)
+    dense = None
+    if generators is not None:
+        dense = sum(1 << i for i in {index[s] for s in generators})
+    frame = Frame._from_masks(labels, up, down, dict(zip(labels, ordered)), dense)
+    reps = {labels[i]: sats_with_reps[s] for i, s in enumerate(ordered)}
     return GeneratedLocale(carrier, cov, tuple(ordered), frame, reps)
 
 
-def _fold_locale(cov, sat, max_covers, what) -> GeneratedLocale:
-    """The locale ``sat`` generates, folded from sat(empty) one class
-    representative b at a time, skipping b in sat(U) (U | {b} ~ U)."""
+def _fold_locale(cov, start, step, max_covers, what):
+    """The locale of saturations folded from ``start`` = sat(empty), one
+    class representative b at a time, skipping b in sat(U) (U | {b} ~ U):
+    ``step(s, rep, b)`` is sat(rep | {b}) for s = sat(rep).  Returns the
+    locale and each b's saturation sat({b}), the locale's generators."""
     carrier = cov.carrier
-    sats = {sat(frozenset()): frozenset()}
+    sats = {start: frozenset()}
+    gens = {}
     for b in carrier.class_reps():
-        for s, rep in list(sats.items()):
-            if b not in s:
-                u = normalize(rep | {b}, carrier)
-                sats.setdefault(sat(u), u)
+        for s, rep in [(s, rep) for s, rep in sats.items() if b not in s]:
+            t = step(s, rep, b)
+            if t not in sats:
+                sats[t] = normalize(rep | {b}, carrier)
+        gens[b] = start if b in start else step(start, frozenset(), b)
         if len(sats) > max_covers:
             raise LimitExceededError(f"{what} exceeded the size guard")
-    return _locale_from_sats(carrier, cov, sats)
+    return _locale_from_sats(carrier, cov, sats, gens.values()), gens
 
 
 class _Coverage:
     """Least fixpoint of Horn rules (head, body) over class representatives:
     sat(U) holds U's normalized members and each head whose body it holds.
-    Each rule counts its body members not yet derived and fires at zero; an
-    empty body fires at the start.  Saturations are memoised."""
+
+    ``derivable_set`` answers a single question: each rule counts its body
+    members not yet derived and fires at zero, an empty body at the start,
+    and saturations are memoised.  ``_extend`` grows a closed set instead:
+    sat(U | {b}) is the least closed superset of sat(U) and b, so it derives
+    b and wakes only the rules that watch a newly derived atom, each firing
+    when its body lies in the derived set."""
 
     def __init__(self, carrier, rules):
         self.carrier = carrier
@@ -195,6 +237,20 @@ class _Coverage:
         out = self._memo[target] = frozenset(derived)
         return out
 
+    def _extend(self, closed, b) -> frozenset:
+        """The least closed superset of a closed set and one more atom."""
+        derived = set(closed)
+        todo = [b]
+        while todo:
+            a = todo.pop()
+            if a not in derived:
+                derived.add(a)
+                for i in self._watch.get(a, ()):
+                    head, body = self.rules[i]
+                    if head not in derived and body <= derived:
+                        todo.append(head)
+        return frozenset(derived)
+
     def holds(self, a, u) -> bool:
         self.carrier.check_element(a)
         return self.carrier.rep(a) in self.derivable_set(u)
@@ -220,15 +276,21 @@ def locale_from_cov(rel: CoveringRelation,
         by_cover = {}
         for (a, u) in rel.pairs:
             by_cover.setdefault(u, set()).add(a)
-        return _fold_locale(rel, lambda u: frozenset(by_cover.get(u, ())),
-                            max_covers, "generated locale")
+        locale, _ = _fold_locale(
+            rel, frozenset(by_cover.get(frozenset(), ())),
+            lambda s, rep, b: frozenset(by_cover.get(normalize(rep | {b}, carrier), ())),
+            max_covers, "generated locale")
+        return locale
     reps = carrier.class_reps()
     rules = [(x, normalize([y], carrier))
              for x in reps for y in reps if carrier.le(x, y)]
     rules += [(x, meet_cover(v, frozenset([x]), carrier))
               for (g, v) in rel.pairs for x in reps if carrier.le(x, g)]
     cov = _Coverage(carrier, rules)
-    return _fold_locale(cov, cov.derivable_set, max_covers, "generated locale")
+    locale, _ = _fold_locale(cov, cov.derivable_set(frozenset()),
+                             lambda s, rep, b: cov._extend(s, b),
+                             max_covers, "generated locale")
+    return locale
 
 
 class ProductCoverage(_Coverage):
@@ -273,12 +335,10 @@ def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
     """Coproduct of finite frames via the generated locale, with the
     embedding of the weak product into it."""
     coverage = ProductCoverage(fs, max_covers=max_covers)
-    locale = _fold_locale(coverage, coverage.derivable_set, max_covers,
-                          "coproduct locale")
-    phi = EmbeddingPhi({
-        b: locale.label_of(coverage.derivable_set(frozenset([b])))
-        for b in coverage.carrier.class_reps()})
-    return locale, phi
+    locale, gens = _fold_locale(coverage, coverage.derivable_set(frozenset()),
+                                lambda s, rep, b: coverage._extend(s, b),
+                                max_covers, "coproduct locale")
+    return locale, EmbeddingPhi({b: locale.label_of(t) for b, t in gens.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +461,7 @@ def spatial_product_eq(spaces, max_covers: int = DEFAULT_MAX_COVERS):
     locale, unsound, conflated = _check_on_locale(spaces, max_covers)
     frame = locale.frame
     pts = points_of(frame)
-    spatial = len({frozenset(p for p in pts if x in p.filter)
-                   for x in frame.elements}) == len(frame)
+    spatial, _ = is_spatial(frame)
     equal = not unsound and not conflated
     report = [
         f"closed product relation equals geometric covering: {str(equal).lower()}"

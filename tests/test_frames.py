@@ -538,3 +538,108 @@ class TestMatchesSearchReference:
         # every subset up to 10 elements, subsets of at most 3 beyond
         limit = None if len(fr) <= 10 else 3
         assert _compare_with_reference(fr, max_subset=limit) == (True, True)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask Frame against the frozenset order and point test it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_points_of(fr):
+    """points_of as it was: every element tested by one join over all the
+    elements not above it."""
+    return tuple(
+        Point(least=q, filter=fr.up_set(q)) for q in fr.elements
+        if not fr.le(q, fr.big_join(x for x in fr.elements if not fr.le(q, x))))
+
+
+def _reference_extents(fr):
+    """point_extent of every element, as it was: a scan of every point."""
+    pts = _reference_points_of(fr)
+    return {x: f(p for p in pts if x in p.filter) for x in fr.elements}
+
+
+def _reference_is_spatial_of(fr):
+    seen = {}
+    for x, ext in _reference_extents(fr).items():
+        if ext in seen:
+            return False, (seen[ext], x)
+        seen[ext] = x
+    return True, None
+
+
+def _least_bound(ref, xs, upper):
+    """The unique least common upper (greatest common lower) bound, by
+    search, or None."""
+    side = ref._up if upper else ref._down
+    common = set(ref.elements).intersection(*(side[x] for x in xs))
+    best = [x for x in common
+            if all(ref.le(x, y) if upper else ref.le(y, x) for y in common)]
+    return best[0] if len(best) == 1 else None
+
+
+def _compare_order_with_reference(fr, ref, max_subset=3):
+    """Assert that fr answers every order question as ref does: le (also on
+    names that are not elements), le_set, up_set, down_set, bottom, top,
+    binary joins and meets, and big joins and meets of up to max_subset
+    elements."""
+    assert fr.elements == ref.elements
+    assert fr.le_set == ref.le_set
+    assert (fr.bottom, fr.top) == (ref.bottom, ref.top)
+    for a in fr.elements:
+        assert fr.up_set(a) == ref._up[a] and fr.down_set(a) == ref._down[a], a
+        assert not fr.le(a, "no such element") and not fr.le("no such element", a)
+        assert not fr.le(a, None) and not fr.le(None, a)
+    for a, b in product(fr.elements, repeat=2):
+        assert fr.le(a, b) == ref.le(a, b), (a, b)
+        assert fr.join(a, b) == ref.join(a, b), (a, b)
+        assert fr.meet(a, b) == ref.meet(a, b), (a, b)
+    for r in range(max_subset + 1):
+        for sub in combinations(fr.elements, r):
+            assert fr.big_join(sub) == _least_bound(ref, sub, upper=True), sub
+            assert fr.big_meet(sub) == _least_bound(ref, sub, upper=False), sub
+
+
+def _compare_points_with_reference(fr, ref_frame):
+    """points_of, point_extent and is_spatial of fr against the old bodies
+    run on ref_frame."""
+    assert points_of(fr) == _reference_points_of(ref_frame)
+    extents = _reference_extents(ref_frame)
+    for x in fr.elements:
+        assert point_extent(fr, x) == extents[x], x
+    assert is_spatial(fr) == _reference_is_spatial_of(ref_frame)
+
+
+def _random_relations(count, seed):
+    """Reflexive-transitive closures of random edge sets on 3-7 elements:
+    cycles make some of them preorders, and most are not lattices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 7)
+        names = rng.sample("abcdefg", n)
+        density = rng.random() * 0.6
+        edges = [(a, b) for a in names for b in names
+                 if a != b and rng.random() < density]
+        if rng.random() < 0.5:
+            edges += [(names[0], x) for x in names[1:]]
+            edges += [(x, names[-1]) for x in names[:-1]]
+        yield names, reflexive_transitive_closure(names, edges)
+
+
+def test_mask_frame_matches_the_search_reference_on_random_relations():
+    cases = [(["0", "1", "a", "b", "c"], diamond_m3().le_set),
+             (_n5().elements, _n5().le_set)] + list(_random_relations(400, seed=5))
+    kinds = set()
+    for names, rel in cases:
+        fr, ref = Frame(names, rel), _ReferenceFrame(names, rel)
+        _compare_order_with_reference(fr, ref)
+        _compare_points_with_reference(fr, fr)
+        kinds.add((len(set(map(fr.up_set, fr.elements))) < len(fr), ref.is_lattice()))
+    # preorders and posets, lattices and not
+    assert kinds == {(False, False), (False, True), (True, False)}
+
+
+def test_point_extent_rejects_unknown_names():
+    fr = diamond_m3()
+    for x in ("zzz", None, ""):
+        with pytest.raises(KeyError):
+            point_extent(fr, x)

@@ -24,6 +24,7 @@ from locfine.covering import (
 )
 from locfine.errors import LimitExceededError
 from locfine.frames import (
+    Frame,
     boolean_frame_2,
     chain_frame,
     frame_from_space,
@@ -39,6 +40,7 @@ from locfine.frames import (
 )
 from locfine.products import (
     EmbeddingPhi,
+    GeneratedLocale,
     ProductCoverage,
     _locale_from_sats,
     canonical_cov,
@@ -52,6 +54,11 @@ from locfine.products import (
     rect_basis_check,
     spatial_product_eq,
     star_variant_eq,
+)
+from test_frames import (
+    _compare_order_with_reference,
+    _compare_points_with_reference,
+    _ReferenceFrame,
 )
 
 f = frozenset
@@ -584,15 +591,8 @@ def _cover_top_by_any_element(coverage):
         frozenset([y]) for y in fr.elements if y not in (fr.bottom, fr.top))
 
 
-MUTATION_SPACES = ["chain3", "discrete2", "sierpinski", "six"]
-MUTATION_PAIRS = [(a, b) for a in MUTATION_SPACES for b in MUTATION_SPACES
-                  if (a, b) != ("six", "six")]
-
-
-@pytest.mark.parametrize("mutation", [_drop_a_split_per_element,
-                                      _cover_top_by_any_element],
-                         ids=["dropped-split", "unsound-split"])
-def test_coverage_mutations_agree_with_references(monkeypatch, mutation):
+def _apply_mutation(monkeypatch, mutation):
+    """Apply a mutation to every ProductCoverage built from now on."""
     init = ProductCoverage.__init__
 
     def mutated(self, *args, **kwargs):
@@ -602,6 +602,18 @@ def test_coverage_mutations_agree_with_references(monkeypatch, mutation):
         products._Coverage.__init__(self, self.carrier, self._split_rules())
 
     monkeypatch.setattr(ProductCoverage, "__init__", mutated)
+
+
+MUTATION_SPACES = ["chain3", "discrete2", "sierpinski", "six"]
+MUTATION_PAIRS = [(a, b) for a in MUTATION_SPACES for b in MUTATION_SPACES
+                  if (a, b) != ("six", "six")]
+
+
+@pytest.mark.parametrize("mutation", [_drop_a_split_per_element,
+                                      _cover_top_by_any_element],
+                         ids=["dropped-split", "unsound-split"])
+def test_coverage_mutations_agree_with_references(monkeypatch, mutation):
+    _apply_mutation(monkeypatch, mutation)
     verdicts = []
     for pair in MUTATION_PAIRS:
         spaces = [ALL_SPACES[k] for k in pair]
@@ -815,3 +827,147 @@ def test_star_variant_builds_one_product_coverage(monkeypatch):
     d = space_discrete("pq")
     eq, _ = star_variant_eq([d, d], regular=[True, True])
     assert eq and len(built) == 1
+
+
+# The fold step against the recount.
+
+def _fold_visits(monkeypatch, build):
+    """Each (coverage, sat(U), b, sat(U | {b})) the fold steps through while
+    build() runs."""
+    visits = []
+    extend = products._Coverage._extend
+
+    def recorded(self, closed, b):
+        out = extend(self, closed, b)
+        visits.append((self, closed, b, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(products._Coverage, "_extend", recorded)
+        build()
+    return visits
+
+
+def _least_closed_superset(coverage, seed):
+    """The least superset of seed closed under the splits, by rescanning."""
+    derived = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for b in coverage.carrier.class_reps():
+            if b not in derived and any(
+                    all(b[:i] + (x,) + b[i + 1:] in derived for x in s)
+                    for i, table in enumerate(coverage._splits) for s in table[b[i]]):
+                derived.add(b)
+                changed = True
+    return frozenset(derived)
+
+
+@pytest.mark.parametrize("mutation", [None, _drop_a_split_per_element,
+                                      _cover_top_by_any_element],
+                         ids=["sound", "dropped-split", "unsound-split"])
+def test_fold_step_matches_the_rescanning_loop(monkeypatch, mutation):
+    """Each step is the least closed superset of sat(U) and b, under the
+    splits as mutated.  That is sat(sat(U) | {b}) as the reference finds it,
+    which seeds the down-set of its target, wherever every order step
+    b <= b' is still a split: not under the dropped splits."""
+    if mutation is not None:
+        _apply_mutation(monkeypatch, mutation)
+    checked = 0
+    for pair in ALL_PAIRS:
+        frames = [frame_from_space(ALL_SPACES[k]) for k in pair]
+        for coverage, s, b, out in _fold_visits(
+                monkeypatch, lambda: coproduct_frames(frames)):
+            assert b not in s, (pair, b)
+            assert out == _least_closed_superset(coverage, s | {b}), (pair, b)
+            if mutation is not _drop_a_split_per_element:
+                assert out == _reference_derivable_set(coverage, s | {b}), (pair, b)
+            checked += 1
+    assert checked > 500
+
+
+def test_fold_step_matches_the_recount_on_presentations(monkeypatch):
+    checked = 0
+    for rel in RELATIONS:
+        for cov, s, b, out in _fold_visits(monkeypatch, lambda: locale_from_cov(rel)):
+            assert b not in s and out == cov.derivable_set(s | {b}), (rel, b)
+            checked += 1
+    assert checked > 1000
+
+
+# The locale's masks against the pair set they replaced.
+
+def _reference_locale_from_sats(carrier, cov, sats_with_reps) -> GeneratedLocale:
+    """The locale with its order built as the set of all pairs a <= b of
+    saturations."""
+    ordered = sorted(sats_with_reps,
+                     key=lambda s: (len(s), tuple(sorted(carrier.key(e) for e in s))))
+    labels = {s: f"x{i}" for i, s in enumerate(ordered)}
+    le = {(labels[a], labels[b]) for a in ordered for b in ordered if a <= b}
+    frame = Frame(labels.values(), le, meanings={labels[s]: s for s in ordered})
+    reps = {labels[s]: sats_with_reps[s] for s in ordered}
+    return GeneratedLocale(carrier, cov, tuple(ordered), frame, reps)
+
+
+def _assert_same_locale(loc, ref):
+    """Same labels, order and representatives; on up to 40 elements, every
+    order question answered as the search-based frame does."""
+    assert loc.elements == ref.elements
+    assert loc.frame.elements == ref.frame.elements
+    assert loc.frame.meanings == ref.frame.meanings
+    assert loc.reps == ref.reps
+    assert loc.frame.le_set == ref.frame.le_set
+    if len(loc.frame) <= 40:
+        _compare_order_with_reference(
+            loc.frame, _ReferenceFrame(ref.frame.elements, ref.frame.le_set))
+    _compare_points_with_reference(loc.frame, ref.frame)
+
+
+def _rebuilt(loc):
+    sats = {loc.frame.meaning(x): loc.reps[x] for x in loc.frame.elements}
+    return _reference_locale_from_sats(loc.carrier, loc.cov, sats)
+
+
+@pytest.mark.parametrize("factors", COPRODUCT_SHAPES, ids="x".join)
+def test_coproduct_masks_match_the_pair_set(factors):
+    spaces = dict(SPACES, six=space_six_opens())
+    loc, _ = coproduct_frames([frame_from_space(spaces[k]) for k in factors])
+    # the join-dense point search runs on every coproduct
+    assert loc.frame._join_dense is not None
+    _assert_same_locale(loc, _rebuilt(loc))
+
+
+def test_presented_locale_masks_match_the_pair_set():
+    for rel in RELATIONS:
+        loc = locale_from_cov(rel)
+        assert loc.frame._join_dense is not None
+        _assert_same_locale(loc, _rebuilt(loc))
+
+
+def test_masks_of_arbitrary_set_families_match_the_pair_set():
+    """Families not closed under anything: the frame is seldom a lattice,
+    has no known join-dense set, and points come from the full test."""
+    rng = random.Random(3)
+    carrier = SubsetCarrier("pqr")
+    atoms = carrier.class_reps()
+    lattices = 0
+    for _ in range(300):
+        family = {f(rng.sample(atoms, rng.randint(0, len(atoms)))): f([i])
+                  for i in range(rng.randint(1, 9))}
+        got = _locale_from_sats(carrier, None, family)
+        ref = _reference_locale_from_sats(carrier, None, family)
+        assert got.frame._join_dense is None
+        _assert_same_locale(got, ref)
+        lattices += validate_frame(ref.frame).ok
+    assert 0 < lattices < 150
+
+
+@pytest.mark.parametrize("n,elements", [(1, 3), (2, 6), (3, 20), (4, 168)])
+def test_free_frame_ladder(n, elements):
+    """The coproduct of n Sierpinski frames is the free frame on n
+    generators: M(n) elements (Dedekind numbers, OEIS A000372), 2^n points,
+    and spatial."""
+    loc, _ = coproduct_frames([frame_from_space(space_sierpinski())] * n)
+    assert len(loc.frame) == elements
+    assert len(points_of(loc.frame)) == 2 ** n
+    assert is_spatial(loc.frame) == (True, None)
