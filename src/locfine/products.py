@@ -145,9 +145,8 @@ def _locale_from_sats(carrier, cov, sats_with_reps, generators=None) -> Generate
     """The locale of the given saturations, labelled x0, x1, ... by size.
 
     The order comes from the columns col[b], as the module describes.
-    ``generators``, when given, are saturations that every element is the
-    join of; only they can be join-prime, so the point search tests only
-    them.
+    ``generators``, when given, are saturations of which every element is a
+    join; only they can be join-prime, so the point search tests only them.
     """
     atoms = frozenset().union(*sats_with_reps)
     rank = {b: r for r, b in enumerate(sorted(atoms, key=carrier.key))}
