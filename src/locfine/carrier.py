@@ -96,7 +96,7 @@ class Preorder:
 
     def __init__(self, elements: Iterable[str], le_pairs: Iterable[tuple], top: str):
         self.elements_tuple = tuple(sorted(set(elements)))
-        _, up, down = _order(self.elements_tuple, le_pairs)
+        up, down = _order(self.elements_tuple, le_pairs)
         bad = [(a, b, min(up[b] - up[a]))
                for a in self.elements_tuple for b in up[a] if not up[b] <= up[a]]
         if bad:
@@ -175,18 +175,17 @@ def subsets(items) -> Iterator[tuple]:
 
 
 def _order(elements, le_pairs):
-    """The order data of a relation over ``elements``: the relation made
-    reflexive, and each element's up-set and down-set (holding the element).
-    Raises ``ValueError`` on a pair naming something outside ``elements``."""
+    """Each element's up-set and down-set (holding the element) under a
+    relation over ``elements``.  Raises ``ValueError`` on a pair naming
+    something outside ``elements``."""
     up = {x: {x} for x in elements}
     down = {x: {x} for x in up}
-    rel = frozenset(le_pairs).union(zip(up, up))
-    for a, b in rel:
+    for a, b in frozenset(le_pairs).union(zip(up, up)):
         if a not in up or b not in up:
             raise ValueError(f"relation mentions unknown element: {(a, b)}")
         up[a].add(b)
         down[b].add(a)
-    return (rel, {x: frozenset(s) for x, s in up.items()},
+    return ({x: frozenset(s) for x, s in up.items()},
             {x: frozenset(s) for x, s in down.items()})
 
 
@@ -197,7 +196,7 @@ def reflexive_transitive_closure(names, edges) -> set:
     Warshall's algorithm over per-element up-sets: once pivot ``k`` is
     processed, every element whose up-set holds ``k`` holds all of ``k``'s.
     """
-    _, up, _ = _order(names, edges)
+    up, _ = _order(names, edges)
     for k in up:
         for a, above in up.items():
             if k in above:

@@ -178,17 +178,20 @@ def _locale_from_sats(carrier, cov, sats_with_reps, generators=None) -> Generate
 def _fold_locale(cov, start, step, max_covers, what):
     """The locale of saturations folded from ``start`` = sat(empty), one
     class representative b at a time, skipping b in sat(U) (U | {b} ~ U):
-    ``step(s, rep, b)`` is sat(rep | {b}) for s = sat(rep).  Returns the
+    ``step(s, rep, b)`` gives t = sat(rep | {b}) for s = sat(rep), with the
+    normalized rep | {b} if the step needed it, else None.  Returns the
     locale and each b's saturation sat({b}), the locale's generators."""
     carrier = cov.carrier
     sats = {start: frozenset()}
     gens = {}
     for b in carrier.class_reps():
+        gens[b] = start
         for s, rep in [(s, rep) for s, rep in sats.items() if b not in s]:
-            t = step(s, rep, b)
+            t, u = step(s, rep, b)
+            if s is start:
+                gens[b] = t
             if t not in sats:
-                sats[t] = normalize(rep | {b}, carrier)
-        gens[b] = start if b in start else step(start, frozenset(), b)
+                sats[t] = normalize(rep | {b}, carrier) if u is None else u
         if len(sats) > max_covers:
             raise LimitExceededError(f"{what} exceeded the size guard")
     return _locale_from_sats(carrier, cov, sats, gens.values()), gens
@@ -198,17 +201,15 @@ class _Coverage:
     """Least fixpoint of Horn rules (head, body) over class representatives:
     sat(U) holds U's normalized members and each head whose body it holds.
 
-    ``derivable_set`` answers a single question: each rule counts its body
-    members not yet derived and fires at zero, an empty body at the start,
-    and saturations are memoised.  ``_extend`` grows a closed set instead:
-    sat(U | {b}) is the least closed superset of sat(U) and b, so it derives
-    b and wakes only the rules that watch a newly derived atom, each firing
-    when its body lies in the derived set."""
+    ``_extend`` grows a closed set: sat(U | {b}) is the least closed
+    superset of sat(U) and b, so it derives b and wakes only the rules that
+    watch a newly derived atom, each firing when its body lies in the
+    derived set.  ``derivable_set`` is the same step from the empty set with
+    U and the empty-bodied heads, memoised."""
 
     def __init__(self, carrier, rules):
         self.carrier = carrier
         self.rules = rules
-        self._sizes = [len(body) for _, body in rules]
         self._start = [head for head, body in rules if not body]
         self._watch = {}
         for i, (_, body) in enumerate(rules):
@@ -220,26 +221,14 @@ class _Coverage:
         """All class representatives b with (b, target) in the closure."""
         target = normalize(target, self.carrier)
         got = self._memo.get(target)
-        if got is not None:
-            return got
-        missing = list(self._sizes)
-        derived = set()
-        todo = [*target, *self._start]
-        while todo:
-            a = todo.pop()
-            if a not in derived:
-                derived.add(a)
-                for i in self._watch.get(a, ()):
-                    missing[i] -= 1
-                    if not missing[i]:
-                        todo.append(self.rules[i][0])
-        out = self._memo[target] = frozenset(derived)
-        return out
+        if got is None:
+            got = self._memo[target] = self._extend(frozenset(), [*target, *self._start])
+        return got
 
-    def _extend(self, closed, b) -> frozenset:
-        """The least closed superset of a closed set and one more atom."""
+    def _extend(self, closed, atoms) -> frozenset:
+        """The least closed superset of a closed set and some atoms."""
         derived = set(closed)
-        todo = [b]
+        todo = list(atoms)
         while todo:
             a = todo.pop()
             if a not in derived:
@@ -275,10 +264,13 @@ def locale_from_cov(rel: CoveringRelation,
         by_cover = {}
         for (a, u) in rel.pairs:
             by_cover.setdefault(u, set()).add(a)
-        locale, _ = _fold_locale(
-            rel, frozenset(by_cover.get(frozenset(), ())),
-            lambda s, rep, b: frozenset(by_cover.get(normalize(rep | {b}, carrier), ())),
-            max_covers, "generated locale")
+
+        def lookup(s, rep, b):
+            u = normalize(rep | {b}, carrier)
+            return frozenset(by_cover.get(u, ())), u
+
+        locale, _ = _fold_locale(rel, frozenset(by_cover.get(frozenset(), ())),
+                                 lookup, max_covers, "generated locale")
         return locale
     reps = carrier.class_reps()
     rules = [(x, normalize([y], carrier))
@@ -287,7 +279,7 @@ def locale_from_cov(rel: CoveringRelation,
               for (g, v) in rel.pairs for x in reps if carrier.le(x, g)]
     cov = _Coverage(carrier, rules)
     locale, _ = _fold_locale(cov, cov.derivable_set(frozenset()),
-                             lambda s, rep, b: cov._extend(s, b),
+                             lambda s, rep, b: (cov._extend(s, [b]), None),
                              max_covers, "generated locale")
     return locale
 
@@ -335,7 +327,7 @@ def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
     embedding of the weak product into it."""
     coverage = ProductCoverage(fs, max_covers=max_covers)
     locale, gens = _fold_locale(coverage, coverage.derivable_set(frozenset()),
-                                lambda s, rep, b: coverage._extend(s, b),
+                                lambda s, rep, b: (coverage._extend(s, [b]), None),
                                 max_covers, "coproduct locale")
     return locale, EmbeddingPhi({b: locale.label_of(t) for b, t in gens.items()})
 

@@ -829,17 +829,18 @@ def test_star_variant_builds_one_product_coverage(monkeypatch):
     assert eq and len(built) == 1
 
 
-# The fold step against the recount.
+# The closure step against the rescanning loops.
 
-def _fold_visits(monkeypatch, build):
-    """Each (coverage, sat(U), b, sat(U | {b})) the fold steps through while
-    build() runs."""
+def _extend_visits(monkeypatch, build):
+    """Each (coverage, closed set, atoms, least closed superset) that the
+    kernel steps through while build() runs: fold steps add one atom to
+    sat(U), single questions start from the empty set."""
     visits = []
     extend = products._Coverage._extend
 
-    def recorded(self, closed, b):
-        out = extend(self, closed, b)
-        visits.append((self, closed, b, out))
+    def recorded(self, closed, atoms):
+        out = extend(self, closed, atoms)
+        visits.append((self, closed, tuple(atoms), out))
         return out
 
     with monkeypatch.context() as m:
@@ -867,32 +868,44 @@ def _least_closed_superset(coverage, seed):
                                       _cover_top_by_any_element],
                          ids=["sound", "dropped-split", "unsound-split"])
 def test_fold_step_matches_the_rescanning_loop(monkeypatch, mutation):
-    """Each step is the least closed superset of sat(U) and b, under the
-    splits as mutated.  That is sat(sat(U) | {b}) as the reference finds it,
-    which seeds the down-set of its target, wherever every order step
-    b <= b' is still a split: not under the dropped splits."""
+    """Each step is the least closed superset of its closed set and atoms,
+    under the splits as mutated.  That is sat of their union as the
+    reference finds it, which seeds the down-set of its target, wherever
+    every order step b <= b' is still a split: not under the dropped
+    splits."""
     if mutation is not None:
         _apply_mutation(monkeypatch, mutation)
-    checked = 0
+    steps = 0
     for pair in ALL_PAIRS:
         frames = [frame_from_space(ALL_SPACES[k]) for k in pair]
-        for coverage, s, b, out in _fold_visits(
+        for coverage, s, atoms, out in _extend_visits(
                 monkeypatch, lambda: coproduct_frames(frames)):
-            assert b not in s, (pair, b)
-            assert out == _least_closed_superset(coverage, s | {b}), (pair, b)
+            seed = s.union(atoms)
+            assert out == _least_closed_superset(coverage, seed), (pair, atoms)
             if mutation is not _drop_a_split_per_element:
-                assert out == _reference_derivable_set(coverage, s | {b}), (pair, b)
-            checked += 1
-    assert checked > 500
+                assert out == _reference_derivable_set(coverage, seed), (pair, atoms)
+            if s:
+                assert len(atoms) == 1 and atoms[0] not in s, (pair, atoms)
+                steps += 1
+    assert steps > 400
 
 
-def test_fold_step_matches_the_recount_on_presentations(monkeypatch):
-    checked = 0
+def test_fold_step_matches_the_closure_on_presentations(monkeypatch):
+    """Each fold step sat(U) | {b} of a presentation gives the saturation
+    that the materialised C1-C4 closure holds for the normalized union."""
+    steps = 0
     for rel in RELATIONS:
-        for cov, s, b, out in _fold_visits(monkeypatch, lambda: locale_from_cov(rel)):
-            assert b not in s and out == cov.derivable_set(s | {b}), (rel, b)
-            checked += 1
-    assert checked > 1000
+        if rel.closed:
+            continue
+        closure, _ = saturate(rel)
+        by_cover = {}
+        for (a, u) in closure.pairs:
+            by_cover.setdefault(u, set()).add(a)
+        for cov, s, atoms, out in _extend_visits(monkeypatch, lambda: locale_from_cov(rel)):
+            u = normalize(s.union(atoms), cov.carrier)
+            assert out == frozenset(by_cover.get(u, ())), (rel, atoms)
+            steps += bool(s)
+    assert steps > 1000
 
 
 # The locale's masks against the pair set they replaced.
