@@ -90,25 +90,28 @@ class Preorder:
     the constructor checks this and raises ``ValueError`` otherwise, naming
     the least offending triple or element.  Use ``Preorder.from_edges`` to
     build one from a sparse edge list (the reflexive-transitive closure is
-    taken automatically).  It keeps each element's up-set and down-set, and
-    meets, maximal members and class representatives are read from them.
+    taken automatically).  It keeps each element's up-set and down-set as int
+    bitmasks, bit i standing for the i-th name in sorted order; ``le`` is a
+    bit test, and meets, maximal members and class representatives are read
+    from the masks.
     """
 
     def __init__(self, elements: Iterable[str], le_pairs: Iterable[tuple], top: str):
-        self.elements_tuple = tuple(sorted(set(elements)))
-        up, down = _order(self.elements_tuple, le_pairs)
-        bad = [(a, b, min(up[b] - up[a]))
-               for a in self.elements_tuple for b in up[a] if not up[b] <= up[a]]
+        names = self.elements_tuple = tuple(sorted(set(elements)))
+        bit, up, down = _masks(names, le_pairs)
+        bad = _intransitive(names, up)
         if bad:
-            raise ValueError("relation is not transitive: {} <= {} <= {}".format(*min(bad)))
-        if top not in up:
+            raise ValueError("relation is not transitive: {} <= {} <= {}".format(*bad[0]))
+        if top not in bit:
             raise ValueError(f"unknown top element: {top}")
-        if len(down[top]) < len(up):
-            raise ValueError(f"top does not dominate {min(up.keys() - down[top])}")
+        undominated = ~down[top] & ((1 << len(names)) - 1)
+        if undominated:
+            raise ValueError(f"top does not dominate {names[next(_bits(undominated))]}")
         self.top = top
-        self._up, self._down = up, down
+        self._bit, self._up, self._down = bit, up, down
         # Representative of each equivalence class: the least name in it.
-        self._rep = {a: min(up[a] & down[a]) for a in self.elements_tuple}
+        self._rep = {a: names[next(_bits(up[a] & down[a]))] for a in names}
+        self._reps = sum(bit[a] for a in names if self._rep[a] == a)
 
     @classmethod
     def from_edges(cls, elements, edges, top):
@@ -124,16 +127,20 @@ class Preorder:
             raise CarrierMismatchError(f"unknown element id: {e!r}")
 
     def le(self, a, b) -> bool:
-        return b in self._up.get(a, ())
+        return (self._up.get(a, 0) & self._bit.get(b, 0)) != 0
 
     def meet2(self, a, b):
         """Maximal common lower bounds, one per equivalence class."""
-        return self.maximal({self._rep[p] for p in self._down[a] & self._down[b]})
+        return self._maximal(self._down[a] & self._down[b] & self._reps)
 
     def maximal(self, members):
         """Of a set of class representatives, those with no other member
         above them."""
-        return frozenset(p for p in members if len(self._up[p] & members) == 1)
+        return self._maximal(sum(map(self._bit.__getitem__, members)))
+
+    def _maximal(self, mask):
+        names, up = self.elements_tuple, self._up
+        return frozenset(names[i] for i in _bits(mask) if up[names[i]] & mask == 1 << i)
 
     def key(self, e):
         return (e,)
@@ -145,11 +152,11 @@ class Preorder:
         return iter(self.elements_tuple)
 
     def class_reps(self):
-        reps = sorted(set(self._rep.values()))
-        return reps
+        return [self.elements_tuple[i] for i in _bits(self._reps)]
 
     def le_pairs(self):
-        return frozenset((a, b) for a, above in self._up.items() for b in above)
+        names = self.elements_tuple
+        return frozenset((a, names[i]) for a in names for i in _bits(self._up[a]))
 
     def __repr__(self):
         return f"Preorder({len(self.elements_tuple)} elements, top={self.top!r})"
@@ -174,34 +181,54 @@ def subsets(items) -> Iterator[tuple]:
         yield from combinations(items, r)
 
 
-def _order(elements, le_pairs):
-    """Each element's up-set and down-set (holding the element) under a
-    relation over ``elements``.  Raises ``ValueError`` on a pair naming
-    something outside ``elements``."""
-    up = {x: {x} for x in elements}
-    down = {x: {x} for x in up}
-    for a, b in frozenset(le_pairs).union(zip(up, up)):
-        if a not in up or b not in up:
-            raise ValueError(f"relation mentions unknown element: {(a, b)}")
-        up[a].add(b)
-        down[b].add(a)
-    return ({x: frozenset(s) for x, s in up.items()},
-            {x: frozenset(s) for x, s in down.items()})
+def _bits(mask):
+    """The indices of the set bits of a nonnegative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(names, le_pairs):
+    """``(bit, up, down)`` of a relation over ``names``: bit i stands for
+    ``names[i]``, and each name's up- and down-mask holds the name itself.
+    Raises ``ValueError`` naming the least pair that mentions something
+    outside ``names``."""
+    bit = {x: 1 << i for i, x in enumerate(names)}
+    up, down = dict(bit), dict(bit)
+    unknown = []
+    for a, b in le_pairs:
+        if a in bit and b in bit:
+            up[a] |= bit[b]
+            down[b] |= bit[a]
+        else:
+            unknown.append((a, b))
+    if unknown:
+        raise ValueError(f"relation mentions unknown element: {min(unknown)}")
+    return bit, up, down
+
+
+def _intransitive(order, up):
+    """Every triple ``a <= b <= c`` with ``a`` not below ``c``, sorted by
+    name, of the relation whose up-masks ``up`` set bit i for ``order[i]``."""
+    return sorted((a, order[i], order[j]) for a, mask in up.items() for i in _bits(mask)
+                  if up[order[i]] & ~mask for j in _bits(up[order[i]] & ~mask))
 
 
 def reflexive_transitive_closure(names, edges) -> set:
     """The least reflexive, transitive relation on ``names`` containing the
     ``(a, b)`` pairs of ``edges``, as a set of pairs.
 
-    Warshall's algorithm over per-element up-sets: once pivot ``k`` is
-    processed, every element whose up-set holds ``k`` holds all of ``k``'s.
+    Warshall's algorithm over up-masks: once pivot ``k`` is processed, every
+    element whose up-mask holds ``k`` holds all of ``k``'s.
     """
-    up, _ = _order(names, edges)
-    for k in up:
+    names = tuple(dict.fromkeys(names))
+    bit, up, _ = _masks(names, edges)
+    for k in names:
         for a, above in up.items():
-            if k in above:
+            if above & bit[k]:
                 up[a] = above | up[k]
-    return {(a, b) for a, above in up.items() for b in above}
+    return {(a, names[i]) for a, above in up.items() for i in _bits(above)}
 
 
 def cover_key(u: Cover, carrier) -> tuple:
@@ -306,9 +333,9 @@ def star_refines(v: Cover, u: Cover, carrier: SubsetCarrier) -> bool:
 def antichains(elements, le, max_count: int = DEFAULT_MAX_COVERS):
     """All antichains of a finite poset of class representatives.
 
-    ``elements`` must be mutually incomparable-or-equal-free representatives;
-    the empty antichain is included.  Raises ``LimitExceededError`` when the
-    count would exceed ``max_count``.
+    ``elements`` must hold at most one member of each class of mutually
+    below elements; the empty antichain is included.  Raises
+    ``LimitExceededError`` when the count would exceed ``max_count``.
     """
     elems = list(elements)
     out = [frozenset()]

@@ -31,6 +31,7 @@ from .carrier import (
     DEFAULT_MAX_COVERS,
     Cover,
     SubsetCarrier,
+    _bits,
     all_canonical_covers,
     cover_key,
     fold_meet,
@@ -167,14 +168,6 @@ class _CoverSpace:
             got = self.cid[meet_cover(self.covers[i], self.covers[j], self.carrier)]
             self._meets[(i, j)] = got
         return got
-
-
-def _bits(mask):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _rounds(held, seeds, combine, members, order, rules):

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .carrier import Preorder, cover_key, subsets
-from .covering import CoveringMonoid, CoveringRelation, _bits, _rounds
+from .carrier import Preorder, _bits, cover_key, subsets
+from .covering import CoveringMonoid, CoveringRelation, _rounds
 
 
 @dataclass(frozen=True)

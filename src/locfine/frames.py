@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .carrier import subsets
+from .carrier import _bits, _intransitive, _masks, subsets
 from .errors import InvalidTopologyError
 
 
@@ -72,10 +72,10 @@ class Frame:
     up-masks plus one dictionary lookup, and a meet the same with down-masks
     (Johnstone, *Stone Spaces*, I.4); ``le`` is a bit test, false for a name
     that is not an element.  A join or meet that does not exist, or that two
-    mutually-below elements would share, is ``None``.  ``up_set`` and
-    ``down_set`` give the same order as frozensets of names, built on first
-    read and cached; so is ``le_set`` on a frame read from masks, while a
-    frame built from a relation keeps that relation, made reflexive.
+    mutually-below elements would share, is ``None``.  ``up_set``,
+    ``down_set`` and ``le_set`` give the same order as frozensets of names,
+    built on first read and cached; a frame built from a relation keeps only
+    its masks, so its ``le_set`` is that relation made reflexive.
 
     Construction does not enforce the frame laws; ``validate_frame`` reports
     every violated law so that broken inputs can be diagnosed.  ``meanings``
@@ -85,15 +85,7 @@ class Frame:
 
     def __init__(self, elements, le_pairs, meanings=None):
         names = tuple(sorted(set(elements)))
-        bit = {x: 1 << i for i, x in enumerate(names)}
-        up, down = dict(bit), dict(bit)
-        self.le_set = frozenset(le_pairs).union(zip(names, names))
-        for a, b in self.le_set:
-            if a not in bit or b not in bit:
-                raise ValueError(f"relation mentions unknown element: {(a, b)}")
-            up[a] |= bit[b]
-            down[b] |= bit[a]
-        self._setup(names, bit, up, down, meanings)
+        self._setup(names, *_masks(names, le_pairs), meanings)
 
     @classmethod
     def _from_masks(cls, order, up, down, meanings=None, join_dense=None):
@@ -196,14 +188,6 @@ class Frame:
         return f"Frame({len(self.elements)} elements)"
 
 
-def _bits(mask):
-    """The indices of the set bits of a nonnegative int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _owners(masks):
     """Map each mask to the element it belongs to, or to None when shared."""
     out = {}
@@ -247,15 +231,11 @@ def validate_frame(f: Frame) -> FrameReport:
     The Heyting law is checked in its binary form; on a finite lattice that
     implies distributivity over every finite join.
     """
-    out = []
     elems = f.elements
-    le_pairs = sorted(f.le_set)
-    for a, b in le_pairs:
-        if (b, a) in f.le_set and a != b:
-            out.append(f"antisymmetry fails: {a} and {b} are mutually below each other")
-    for a, b in le_pairs:
-        for c in sorted(f.up_set(b) - f.up_set(a)):
-            out.append(f"transitivity fails: {a} <= {b} <= {c}")
+    out = [f"antisymmetry fails: {a} and {b} are mutually below each other"
+           for a in elems for b in sorted(f._names(f._up[a] & f._down[a])) if a != b]
+    out += ["transitivity fails: {} <= {} <= {}".format(*t)
+            for t in _intransitive(f._by_bit, f._up)]
     if f.bottom is None:
         out.append("no bottom element")
     if f.top is None:

@@ -421,3 +421,13 @@ def test_preorder_matches_the_pair_set_reference_on_random_preorders():
             valid += _compare_with_reference(names, rel, "t")
     # both sides: closed relations build, most unclosed ones raise
     assert 12 < valid < 24
+    # multi-character names given out of sorted order, where "x10" < "x2"
+    names = ["x10", "x2", "x1", "t"]
+    valid = 0
+    for edges in (set(), {("x2", "x10")}, {("x2", "x10"), ("x10", "x2")},
+                  {("x1", "x2"), ("x2", "x10")}):
+        edges |= {(x, "t") for x in names}
+        for rel in (edges, _brute_closure(names, edges)):
+            valid += _compare_with_reference(names, rel, "t")
+    # only the unclosed x1 <= x2 <= x10 raises
+    assert valid == 7

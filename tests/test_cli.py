@@ -529,7 +529,13 @@ for path in sys.argv[1:]:
 def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
     undominated = tmp_path / "undominated_top.cov"
     undominated.write_text("kind preorder\nelements a b c t\ntop t\nle a b\n")
-    paths = [fx(n) for n in sorted(os.listdir(FIXTURES))] + [str(undominated)]
+    unknown = "le yy b\nle q t\nle a zz\n"
+    unknown_pre = tmp_path / "unknown_names_preorder.cov"
+    unknown_pre.write_text("kind preorder\nelements a b q t\ntop t\n" + unknown)
+    unknown_frame = tmp_path / "unknown_names_frame.cov"
+    unknown_frame.write_text("kind frame\nelements a b q t\n" + unknown)
+    paths = [fx(n) for n in sorted(os.listdir(FIXTURES))]
+    paths += [str(undominated), str(unknown_pre), str(unknown_frame)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(locfine.__file__)))
     runs = []
     for seed in ("0", "1"):
@@ -539,3 +545,7 @@ def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
             capture_output=True, text=True, check=True).stdout)
     assert runs[0] == runs[1]
     assert "top does not dominate a" in runs[0]
+    # the least of the pairs naming an unknown element, in both kinds
+    for name in ("unknown_names_preorder.cov", "unknown_names_frame.cov"):
+        assert (f"['check'] {name} 2 error: relation mentions unknown element: "
+                "('a', 'zz')") in runs[0]

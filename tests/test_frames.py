@@ -638,6 +638,43 @@ def test_mask_frame_matches_the_search_reference_on_random_relations():
     assert kinds == {(False, False), (False, True), (True, False)}
 
 
+def _order_lines(violations):
+    return tuple(v for v in violations if v.startswith(("antisymmetry", "transitivity")))
+
+
+def test_validate_frame_reports_the_order_laws_of_unclosed_relations():
+    """Raw edge sets, not closed under transitivity, against the reference's
+    antisymmetry and transitivity lines (its join and meet lines assume a
+    transitive relation); last, a frame whose bit order x0, x1, ..., x10 is
+    not name order."""
+    rng = random.Random(12)
+    cases = []
+    for _ in range(400):
+        names = rng.sample("abcdefg", rng.randint(3, 7))
+        density = rng.random() * 0.6
+        edges = {(a, b) for a in names for b in names if a != b and rng.random() < density}
+        fr = Frame(names, edges)
+        assert fr.le_set == edges | {(a, a) for a in names}
+        cases.append(fr)
+    order = tuple(f"x{i}" for i in range(11))
+    rel = {(order[i], order[i + 1]) for i in range(10)} | {("x2", "x1"), ("x10", "x0")}
+    rel |= {(x, x) for x in order}
+    up = {a: sum(1 << j for j, b in enumerate(order) if (a, b) in rel) for a in order}
+    down = {b: sum(1 << i for i, a in enumerate(order) if (a, b) in rel) for b in order}
+    masked = Frame._from_masks(order, up, down)
+    assert masked.le_set == rel
+    cases.append(masked)
+    kinds = {"antisymmetry": 0, "transitivity": 0}
+    for fr in cases:
+        got = _order_lines(validate_frame(fr).violations)
+        assert got == _order_lines(_reference_validate(_ReferenceFrame(fr.elements, fr.le_set)))
+        for kind in {line.split()[0] for line in got}:
+            kinds[kind] += 1
+    assert "transitivity fails: x0 <= x1 <= x2" in got
+    assert "antisymmetry fails: x1 and x2 are mutually below each other" in got
+    assert kinds["antisymmetry"] > 100 and kinds["transitivity"] > 200, kinds
+
+
 def test_point_extent_rejects_unknown_names():
     fr = diamond_m3()
     for x in ("zzz", None, ""):
