@@ -30,7 +30,7 @@ pre = Preorder.from_edges(
 gens = CoveringRelation(pre, f({
     ("t", f({"b", "c"})), ("b", f({"d"})), ("c", f({"e"}))}))
 for a, u in gens.sorted_pairs():
-    print("  pair", a, set(u))
+    print("  pair", a, "{" + ", ".join(sorted(u)) + "}")
 
 report = audit_axioms(gens)
 print("\nThe audit finds the missing transitivity composites, e.g.:")

@@ -14,7 +14,7 @@ from locfine import (
     spatial_product_eq,
     star_variant_eq,
 )
-from locfine.frames import space_discrete, space_sierpinski
+from locfine.frames import space_chain3, space_discrete, space_sierpinski
 
 s = space_sierpinski()
 print("Coproduct of two Sierpinski frames, generated by single-coordinate")
@@ -44,6 +44,13 @@ print("  both sides agree:", eq)
 
 print("\nThe star variant, over the product of the fine cover monoids:")
 eq, report = star_variant_eq([d, d], regular=[True, True])
+for line in report:
+    print("  " + line)
+print("  verdict:", eq)
+
+print("\nThe same comparison on chain3 x Sierpinski x Sierpinski, whose product")
+print("poset has too many canonical covers to list; neither factor is regular:")
+eq, report = star_variant_eq([space_chain3(), s, s], regular=[False] * 3)
 for line in report:
     print("  " + line)
 print("  verdict:", eq)

@@ -33,7 +33,6 @@ from .carrier import (
     fold_meet,
     meet_cover,
     normalize,
-    refines,
     subsets,
 )
 from .covering import (
@@ -41,7 +40,7 @@ from .covering import (
     CoveringMonoid,
     CoveringRelation,
     fine_monoid,
-    member,
+    global_meet,
 )
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
@@ -348,11 +347,18 @@ def _rects(factors, point_sets):
     return out
 
 
-def embed_phi_check(locale: GeneratedLocale, phi: EmbeddingPhi,
-                    coverage=None, max_covers: int = DEFAULT_MAX_COVERS):
+def embed_phi_check(locale: GeneratedLocale, phi: EmbeddingPhi, coverage=None):
     """Verify the coproduct embedding: order preserved and reflected, pairs
     carried into the locale's canonical relation, and every locale cover
-    refined by the image of a derivable product cover."""
+    refined by the image of a derivable product cover.
+
+    Every derivable (a, U) has phi[a] <= join phi[U] exactly when each rule
+    (head, body) has phi[head] <= join phi[body]: enough by induction on
+    derivations, a join being least; needed, as C2 derives (head, body).
+    Each locale element x must be sat(reps[x]), with phi[b] <= x for b in
+    reps[x]; then the union U of reps[x] over a locale cover e has sat(U) =
+    join e, which holds the top, and each b in U lies below its x in e.
+    """
     coverage = coverage if coverage is not None else locale.cov
     carrier = locale.carrier
     frame = locale.frame
@@ -369,29 +375,22 @@ def embed_phi_check(locale: GeneratedLocale, phi: EmbeddingPhi,
                 continue
             if frame.le(phi[u], phi[v]) and not carrier.le(u, v):
                 report.append(f"phi conflates {u} and {v}")
-    for u in degenerate:
+    for u in elems:
         # every tuple with a bottom coordinate presents the empty piece
-        if phi[u] != frame.bottom:
+        if u in degenerate and phi[u] != frame.bottom:
             report.append(f"degenerate element {u} misses the bottom")
-    covers = all_canonical_covers(carrier, max_count=max_covers)
-    for u in covers:
-        derived = coverage.derivable_set(u)
-        image_join = frame.big_join(phi[x] for x in u)
-        for a in elems:
-            if a in derived and not frame.le(phi[a], image_join):
-                report.append(f"phi drops pair ({a}, {sorted(map(str, u))})")
-    frame_covers = antichains(sorted(frame.elements), frame.le, max_count=max_covers)
-    for e in frame_covers:
-        if frame.big_join(e) != frame.top:
-            continue
-        u = normalize(frozenset().union(*(locale.reps[x] for x in e)), carrier)
-        if not coverage.holds(carrier.rep(coverage.top), u):
-            report.append(f"no derivable preimage for locale cover {sorted(e)}")
-            continue
-        for b in u:
-            if not any(frame.le(phi[b], x) for x in e):
-                report.append(
-                    f"image member {phi[b]} escapes locale cover {sorted(e)}")
+    for head, body in coverage.rules:
+        if not frame.le(phi[head], frame.big_join(phi[b] for b in body)):
+            u = normalize(body, carrier)
+            report.append(f"phi drops pair ({head}, {sorted(map(str, u))})")
+    for x in frame.elements:
+        rep = sorted(locale.reps[x], key=carrier.key)
+        if coverage.derivable_set(rep) != frame.meaning(x):
+            report.append(f"locale element {x} is not the saturation of "
+                          f"{sorted(map(str, rep))}")
+        for b in rep:
+            if not frame.le(phi[b], x):
+                report.append(f"image member {phi[b]} escapes locale element {x}")
     return report
 
 
@@ -467,7 +466,16 @@ def spatial_product_eq(spaces, max_covers: int = DEFAULT_MAX_COVERS):
 def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
     """Compare top-pairs of the closed product relation with closure
     membership in the product of fine cover monoids, and report whether that
-    closure captures exactly the open-refinable covers of the product."""
+    closure captures exactly the open-refinable covers of the product.
+
+    v is in the closure when G, the meet of the product basis, refines v.
+    That agrees with "the finest open cover F refines v" for every v exactly
+    when G = F, as v ranges over both.  With A_g = {x : g <= rect(x)}, G
+    refines the boxes of U when U meets each A_g; this and top in sat(U) are
+    up-sets of U (sat is monotone by C2, boxes grow with their coordinates),
+    so they agree iff, for each g, top is not in sat of the complement of
+    A_g, and top is in sat of each choice of one minimal element per A_g.
+    """
     if regular is None:
         raise ValueError("regularity must be asserted per factor")
     regular = list(regular)
@@ -480,34 +488,25 @@ def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
     rect = _rects(factors, [s.points for s in spaces])
     pm = product_monoid([fine_monoid(s, max_covers=max_covers) for s in spaces],
                         max_basis=max_covers)
-    pcarrier = pm.carrier
+    meet = global_meet(pm)
 
     report = []
     if not all(regular):
         report.append("warning: non-regular factor flagged; equivalence not asserted")
 
-    eq74 = True
-    covers = all_canonical_covers(carrier, max_count=max_covers)
     top = carrier.rep(coverage.top)
-    for u in covers:
-        lhs = coverage.holds(top, u)
-        point_cover = normalize(frozenset(rect[x] for x in u), pcarrier)
-        rhs = member(pm, point_cover, use_lambda=True)
-        if lhs != rhs:
-            eq74 = False
+    elems = carrier.class_reps()
+    inside = [{x for x in elems if g <= rect[x]} for g in meet]
+    least = [[x for x in a if not any(y != x and carrier.le(y, x) for y in a)]
+             for a in inside]
+    eq74 = (all(top not in coverage.derivable_set(set(elems) - a) for a in inside)
+            and all(top in coverage.derivable_set(c) for c in iproduct(*least)))
     report.append(
         f"top pairs of the closed product relation match closure membership: "
         f"{str(eq74).lower()}")
 
     prod = product_space(spaces)
-    finest_open = normalize(
-        frozenset(prod.min_open(p) for p in prod.points), pcarrier)
-    eq86 = True
-    for v in all_canonical_covers(pcarrier, max_count=max_covers):
-        lhs = member(pm, v, use_lambda=True)
-        rhs = refines(finest_open, v, pcarrier)
-        if lhs != rhs:
-            eq86 = False
+    eq86 = meet == normalize(map(prod.min_open, prod.points), pm.carrier)
     spatial, _ = is_spatial(locale.frame)
     report.append(
         f"closure of the fine-monoid product equals the fine monoid of the "

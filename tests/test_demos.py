@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, and
+prints the same output under two hash seeds."""
 
 import glob
 import os
@@ -13,10 +14,14 @@ DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs_cleanly(path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

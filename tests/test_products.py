@@ -1,6 +1,11 @@
 """Products, generated locales, coproducts, and the product theorems."""
 
+import copy
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -11,6 +16,7 @@ from locfine.carrier import (
     Preorder,
     SubsetCarrier,
     all_canonical_covers,
+    antichains,
     normalize,
     refines,
 )
@@ -25,6 +31,7 @@ from locfine.covering import (
 from locfine.errors import LimitExceededError
 from locfine.frames import (
     Frame,
+    SpaceDescription,
     boolean_frame_2,
     chain_frame,
     frame_from_space,
@@ -223,6 +230,7 @@ class TestEmbedding:
                 self.real = real
                 self.factors = real.factors
                 self.top = real.top
+                self.rules = real.rules
 
             def derivable_set(self, target):
                 # forget that the top piece is covered by anything
@@ -571,6 +579,10 @@ def test_reports_answer_past_the_cover_guard(factors):
     assert rect_basis_check(spaces) == []
     eq, report = spatial_product_eq(spaces)
     assert eq, report
+    eq, report = star_variant_eq(spaces, regular=[True] * len(spaces))
+    assert eq, report
+    loc, phi = coproduct_frames([frame_from_space(s) for s in spaces])
+    assert embed_phi_check(loc, phi) == []
 
 
 # Mutations that break the product coverage, applied to every
@@ -984,3 +996,211 @@ def test_free_frame_ladder(n, elements):
     assert len(loc.frame) == elements
     assert len(points_of(loc.frame)) == 2 ** n
     assert is_spatial(loc.frame) == (True, None)
+
+
+# The checks behind star_variant_eq and embed_phi_check against the cover
+# scans they replaced.
+
+def _reference_top_pairs(spaces, max_covers=5000):
+    """Top in sat(U) against closure membership of the boxes of U, for every
+    canonical cover U of the product poset."""
+    factors = [frame_from_space(s) for s in spaces]
+    locale, _ = products.coproduct_frames(factors, max_covers=max_covers)
+    coverage = locale.cov
+    carrier = coverage.carrier
+    rect = products._rects(factors, [s.points for s in spaces])
+    pm = products.product_monoid(
+        [products.fine_monoid(s, max_covers=max_covers) for s in spaces],
+        max_basis=max_covers)
+    top = carrier.rep(coverage.top)
+    eq74 = True
+    for u in all_canonical_covers(carrier, max_count=max_covers):
+        point_cover = normalize(f(rect[x] for x in u), pm.carrier)
+        if coverage.holds(top, u) != member(pm, point_cover, use_lambda=True):
+            eq74 = False
+    return eq74
+
+
+def _reference_closure_check(spaces, max_covers=5000):
+    """Closure membership against refinement by the finest open cover, for
+    every canonical cover of the product's points.  The scan lists all
+    2^|points| subsets before its guard applies."""
+    pm = products.product_monoid(
+        [products.fine_monoid(s, max_covers=max_covers) for s in spaces],
+        max_basis=max_covers)
+    pcarrier = pm.carrier
+    prod = product_space(spaces)
+    finest_open = normalize(f(prod.min_open(p) for p in prod.points), pcarrier)
+    return all(member(pm, v, use_lambda=True) == refines(finest_open, v, pcarrier)
+               for v in all_canonical_covers(pcarrier, max_count=max_covers))
+
+
+def _reference_embed_phi_check(locale, phi, coverage=None, max_covers=5000):
+    """The embedding report with pairs checked over every canonical cover of
+    the product poset and covers over every antichain of the locale."""
+    coverage = coverage if coverage is not None else locale.cov
+    carrier = locale.carrier
+    frame = locale.frame
+    report = []
+    elems = carrier.class_reps()
+    bottoms = [fr.bottom for fr in coverage.factors]
+    degenerate = {b for b in elems
+                  if any(x == bot for x, bot in zip(b, bottoms))}
+    for u in elems:
+        for v in elems:
+            if carrier.le(u, v) and not frame.le(phi[u], phi[v]):
+                report.append(f"phi drops the order at {u} <= {v}")
+            if u in degenerate or v in degenerate:
+                continue
+            if frame.le(phi[u], phi[v]) and not carrier.le(u, v):
+                report.append(f"phi conflates {u} and {v}")
+    for u in degenerate:
+        if phi[u] != frame.bottom:
+            report.append(f"degenerate element {u} misses the bottom")
+    for u in all_canonical_covers(carrier, max_count=max_covers):
+        derived = coverage.derivable_set(u)
+        image_join = frame.big_join(phi[x] for x in u)
+        for a in elems:
+            if a in derived and not frame.le(phi[a], image_join):
+                report.append(f"phi drops pair ({a}, {sorted(map(str, u))})")
+    for e in antichains(sorted(frame.elements), frame.le, max_count=max_covers):
+        if frame.big_join(e) != frame.top:
+            continue
+        u = normalize(f().union(*(locale.reps[x] for x in e)), carrier)
+        if not coverage.holds(carrier.rep(coverage.top), u):
+            report.append(f"no derivable preimage for locale cover {sorted(e)}")
+            continue
+        for b in u:
+            if not any(frame.le(phi[b], x) for x in e):
+                report.append(
+                    f"image member {phi[b]} escapes locale cover {sorted(e)}")
+    return report
+
+
+def _truncated(coverage):
+    """The coverage, forgetting that the top piece is covered by anything."""
+    fake = copy.copy(coverage)
+    top = coverage.carrier.rep(coverage.top)
+    fake.derivable_set = lambda target: coverage.derivable_set(target) - {top}
+    return fake
+
+
+def _drop_the_finest_fine_cover(monkeypatch):
+    """Each fine monoid with another cover loses the cover by minimal opens."""
+    fine = products.fine_monoid
+
+    def mutated(space, *args, **kwargs):
+        m = fine(space, *args, **kwargs)
+        finest = normalize(map(space.min_open, space.points), m.carrier)
+        if len(m.basis) > 1:
+            m = CoveringMonoid(m.carrier, tuple(c for c in m.basis if c != finest))
+        return m
+
+    monkeypatch.setattr(products, "fine_monoid", mutated)
+
+
+def _drop_the_first_pullbacks(monkeypatch):
+    """product_monoid replaces the pullback of each cover of the first
+    factor that has more than one member by the trivial cover."""
+    pullback = products.pullback_cover
+
+    def mutated(cover, axis, point_sets):
+        if axis == 0 and len(cover) > 1:
+            cover = f([f(point_sets[0])])
+        return pullback(cover, axis, point_sets)
+
+    monkeypatch.setattr(products, "pullback_cover", mutated)
+
+
+def _shrink_a_box(monkeypatch):
+    """The middle nonempty box, in element order, loses its least point."""
+    rects = products._rects
+
+    def shrunk(factors, point_sets):
+        out = rects(factors, point_sets)
+        boxes = sorted(b for b in out if out[b])
+        if boxes:
+            b = boxes[len(boxes) // 2]
+            out[b] = out[b] - {min(out[b])}
+        return out
+
+    monkeypatch.setattr(products, "_rects", shrunk)
+
+
+REPORT_SPACES = dict(ALL_SPACES, empty=SpaceDescription(f(), f([f()])))
+REPORT_SHAPES = ALL_PAIRS + [
+    ("sierpinski",) * 3, ("chain3", "sierpinski", "sierpinski"),
+    ("empty", "sierpinski"), ("chain3", "empty")]
+REPORT_MUTATIONS = {
+    "sound": lambda mp: None,
+    "dropped-split": lambda mp: _apply_mutation(mp, _drop_a_split_per_element),
+    "unsound-split": lambda mp: _apply_mutation(mp, _cover_top_by_any_element),
+    "shrunk-box": _shrink_a_box,
+    "fine-monoid-loses-finest": _drop_the_finest_fine_cover,
+    "dropped-pullback": _drop_the_first_pullbacks,
+    "truncated-coverage": lambda mp: _truncated,
+}
+
+
+def _report_verdicts(spaces, wrap):
+    """Each check's verdict, new and by reference, where the reference
+    answers; the closure reference only on up to 12 points, as its scan
+    lists every subset first."""
+    out = {}
+    _, report = star_variant_eq(spaces, regular=[True] * len(spaces))
+    top_pairs, closure = (line.endswith("true") for line in report[:2])
+    ref = _answer(_reference_top_pairs, spaces)
+    if ref is not None:
+        out["top pairs"] = (top_pairs, ref)
+    if len(product_space(spaces).points) <= 12:
+        ref = _answer(_reference_closure_check, spaces)
+        if ref is not None:
+            out["closure"] = (closure, ref)
+    loc, phi = coproduct_frames([frame_from_space(s) for s in spaces])
+    coverage = wrap(loc.cov) if wrap else loc.cov
+    try:
+        ref = _reference_embed_phi_check(loc, phi, coverage)
+    except LimitExceededError:
+        return out
+    out["embedding"] = (embed_phi_check(loc, phi, coverage) == [], ref == [])
+    return out
+
+
+@pytest.mark.parametrize("mutation", REPORT_MUTATIONS)
+def test_report_checks_agree_with_the_cover_scans(monkeypatch, mutation):
+    """Every verdict matches its reference, and each mutation makes both
+    forms of some check say false on some shape."""
+    wrap = REPORT_MUTATIONS[mutation](monkeypatch)
+    answered, false = Counter(), Counter()
+    for shape in REPORT_SHAPES:
+        for check, (got, want) in _report_verdicts(
+                [REPORT_SPACES[k] for k in shape], wrap).items():
+            assert got == want, (shape, check)
+            answered[check] += 1
+            false[check] += not got
+    # a mutated locale can change how many shapes the scans reach
+    assert answered.keys() == {"top pairs", "closure", "embedding"}
+    if mutation == "sound":
+        assert answered == {"top pairs": 28, "closure": 15, "embedding": 26}
+    assert (sum(false.values()) == 0) == (mutation == "sound"), false
+
+
+def test_embedding_report_does_not_depend_on_the_hash_seed():
+    """Tuples with a bottom coordinate sent to the top: the report lists
+    them, and the order it lists them in is the same under every seed."""
+    script = (
+        "from locfine.frames import frame_from_space, space_chain3, space_sierpinski\n"
+        "from locfine.products import EmbeddingPhi, coproduct_frames, embed_phi_check\n"
+        "frames = [frame_from_space(space_chain3()), frame_from_space(space_sierpinski())]\n"
+        "loc, phi = coproduct_frames(frames)\n"
+        "bottoms = [fr.bottom for fr in frames]\n"
+        "bad = EmbeddingPhi({b: loc.frame.top if any(x == y for x, y in zip(b, bottoms))\n"
+        "                    else phi[b] for b in phi.assignments})\n"
+        "print('\\n'.join(embed_phi_check(loc, bad)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(products.__file__)))
+    runs = [subprocess.run([sys.executable, "-c", script], check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                           capture_output=True, text=True).stdout
+            for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    assert "misses the bottom" in runs[0]
