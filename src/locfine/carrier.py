@@ -136,7 +136,8 @@ class Preorder:
     def maximal(self, members):
         """Of a set of class representatives, those with no other member
         above them."""
-        return self._maximal(sum(map(self._bit.__getitem__, members)))
+        mask = sum(map(self._bit.__getitem__, members))
+        return frozenset(m for m in members if self._up[m] & mask == self._bit[m])
 
     def _maximal(self, mask):
         names, up = self.elements_tuple, self._up
@@ -357,8 +358,13 @@ def antichains(elements, le, max_count: int = DEFAULT_MAX_COVERS):
 
 
 def all_canonical_covers(carrier, max_count: int = DEFAULT_MAX_COVERS):
-    """All normalized covers over a carrier, in deterministic order."""
+    """All normalized covers over a carrier, in deterministic order.  On n
+    points each subset alone is one, so past 2^n > ``max_count`` the guard
+    fires before any subset is listed."""
     if isinstance(carrier, SubsetCarrier):
+        if carrier.points and 2 ** len(carrier.points) > max_count:
+            raise LimitExceededError(
+                f"more than {max_count} canonical covers; raise the guard to proceed")
         reps = [e for e in carrier.class_reps() if e]
     else:
         reps = carrier.class_reps()

@@ -25,6 +25,8 @@ enumeration).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import carrier as oc
 from .carrier import (
@@ -72,10 +74,12 @@ class CoveringRelation:
     closed: bool = False
 
     def __post_init__(self):
-        canon = set()
+        carrier, canon, normal = self.carrier, set(), {}
         for (a, u) in self.pairs:
-            self.carrier.check_element(a)
-            canon.add((self.carrier.rep(a), normalize(u, self.carrier)))
+            carrier.check_element(a)
+            if u not in normal:
+                normal[u] = normalize(u, carrier)
+            canon.add((carrier.rep(a), normal[u]))
         object.__setattr__(self, "pairs", frozenset(canon))
 
     def holds(self, a, u) -> bool:
@@ -141,7 +145,17 @@ class NoetherianTree:
 # ---------------------------------------------------------------------------
 
 class _CoverSpace:
-    """Interned canonical covers over a carrier, with memoized meets."""
+    """Interned canonical covers over a carrier, each with its down-set mask.
+
+    ``under[s]`` masks the subject ids below subject s, and ``down[c]`` those
+    below a member of cover c (on a subset carrier only nonempty ones: no
+    normalized cover has an empty member).  ``meet_id(i, j)`` is the cover
+    whose mask is ``down[i] & down[j]``, exactly: over a finite carrier the
+    maximal common lower bounds of the member pairs of u and v have, together,
+    the down-closure D(u) & D(v), so the normalized meet is the set of maximal
+    elements of D(u) & D(v); and normalized covers, the antichains of class
+    representatives, correspond one to one to down-sets of representatives.
+    """
 
     def __init__(self, carrier, max_covers):
         self.carrier = carrier
@@ -149,25 +163,19 @@ class _CoverSpace:
         self.cid = {c: i for i, c in enumerate(self.covers)}
         self.subjects = sorted(carrier.class_reps(), key=carrier.key)
         self.sid = {s: i for i, s in enumerate(self.subjects)}
-        self._meets = {}
-        self.member_sids = [frozenset(self.sid[self.carrier.rep(m)] for m in c)
-                            for c in self.covers]
+        self.member_sids = [frozenset(self.sid[m] for m in c) for c in self.covers]
+        under = self.under = [sum(1 << i for i, a in enumerate(self.subjects)
+                                  if carrier.le(a, s)) for s in self.subjects]
+        empty = 1 << self.sid[frozenset()] if isinstance(carrier, SubsetCarrier) else 0
+        self.down = [reduce(or_, map(under.__getitem__, m), 0) & ~empty
+                     for m in self.member_sids]
+        self.did = {d: i for i, d in enumerate(self.down)}
 
     def canon_pair(self, a, u):
-        a = self.carrier.rep(a)
-        u = normalize(u, self.carrier)
-        return self.sid[a], self.cid[u]
+        return self.sid[self.carrier.rep(a)], self.cid[normalize(u, self.carrier)]
 
     def meet_id(self, i, j):
-        if i == j:              # a normalized cover is its own meet
-            return i
-        if i > j:
-            i, j = j, i
-        got = self._meets.get((i, j))
-        if got is None:
-            got = self.cid[meet_cover(self.covers[i], self.covers[j], self.carrier)]
-            self._meets[(i, j)] = got
-        return got
+        return self.did[self.down[i] & self.down[j]]
 
 
 def _rounds(held, seeds, combine, members, order, rules):
@@ -242,14 +250,9 @@ def _close(space, initial):
     held = [0] * n
     for si, ci in initial:
         held[ci] |= 1 << si
-    below = [0] * n
-    for a in space.subjects:
-        for b in space.subjects:
-            if space.carrier.le(a, b):
-                si, ci = space.canon_pair(a, [b])
-                below[ci] |= 1 << si
     seeds = [("C1", ci, m) for ci, m in enumerate(members)]
-    seeds += [("C2", ci, m) for ci, m in enumerate(below)]
+    seeds += [("C2", space.cid[normalize([b], space.carrier)], under)
+              for b, under in zip(space.subjects, space.under)]
     provenance, stages = {}, []
     for found in _rounds(held, seeds, space.meet_id, members, range(n), ("C3", "C4")):
         added = []

@@ -40,7 +40,6 @@ from .covering import (
     CoveringMonoid,
     CoveringRelation,
     fine_monoid,
-    global_meet,
 )
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
@@ -78,12 +77,8 @@ def pullback_cover(cover, axis, point_sets):
     return frozenset(out)
 
 
-def product_monoid(ms, max_basis: int = DEFAULT_MAX_COVERS) -> CoveringMonoid:
-    """Product of cover monoids over subset carriers.
-
-    The basis consists of all finite meets of pullbacks of factor basis
-    covers (basic rectangular covers).
-    """
+def _pullbacks(ms):
+    """The product carrier and the sorted pullbacks of the basis covers."""
     if not ms:
         raise ValueError("the product of no monoids is undefined")
     for m in ms:
@@ -92,11 +87,18 @@ def product_monoid(ms, max_basis: int = DEFAULT_MAX_COVERS) -> CoveringMonoid:
     point_sets = [m.carrier.points for m in ms]
     names, _ = product_points(point_sets)
     carrier = SubsetCarrier(names)
-    pullbacks = []
-    for i, m in enumerate(ms):
-        for b in m.basis:
-            pullbacks.append(normalize(pullback_cover(b, i, point_sets), carrier))
-    pullbacks = sorted(set(pullbacks), key=lambda c: cover_key(c, carrier))
+    pullbacks = {normalize(pullback_cover(b, i, point_sets), carrier)
+                 for i, m in enumerate(ms) for b in m.basis}
+    return carrier, sorted(pullbacks, key=lambda c: cover_key(c, carrier))
+
+
+def product_monoid(ms, max_basis: int = DEFAULT_MAX_COVERS) -> CoveringMonoid:
+    """Product of cover monoids over subset carriers.
+
+    The basis consists of all finite meets of pullbacks of factor basis
+    covers (basic rectangular covers).
+    """
+    carrier, pullbacks = _pullbacks(ms)
     basis = set()
     for count, sub in enumerate(subsets(pullbacks)):
         if count > max_basis:  # sub is the count-th nonempty subset
@@ -486,9 +488,10 @@ def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
     coverage = locale.cov
     carrier = coverage.carrier
     rect = _rects(factors, [s.points for s in spaces])
-    pm = product_monoid([fine_monoid(s, max_covers=max_covers) for s in spaces],
-                        max_basis=max_covers)
-    meet = global_meet(pm)
+    # G is the meet of every meet of pullbacks, so of the pullbacks alone
+    prod_carrier, pullbacks = _pullbacks([fine_monoid(s, max_covers=max_covers)
+                                          for s in spaces])
+    meet = fold_meet(pullbacks, prod_carrier)
 
     report = []
     if not all(regular):
@@ -506,7 +509,7 @@ def star_variant_eq(spaces, regular=None, max_covers: int = DEFAULT_MAX_COVERS):
         f"{str(eq74).lower()}")
 
     prod = product_space(spaces)
-    eq86 = meet == normalize(map(prod.min_open, prod.points), pm.carrier)
+    eq86 = meet == normalize(map(prod.min_open, prod.points), prod_carrier)
     spatial, _ = is_spatial(locale.frame)
     report.append(
         f"closure of the fine-monoid product equals the fine monoid of the "

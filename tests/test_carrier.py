@@ -1,6 +1,7 @@
 """Cover combinatorics: refinement, meets, normalization, stars."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from locfine.carrier import (
     star_refines,
     subsets,
 )
+from locfine.errors import LimitExceededError
 from locfine.frames import chain_frame
 
 f = frozenset
@@ -431,3 +433,29 @@ def test_preorder_matches_the_pair_set_reference_on_random_preorders():
             valid += _compare_with_reference(names, rel, "t")
     # only the unclosed x1 <= x2 <= x10 raises
     assert valid == 7
+
+
+def test_the_cover_guard_fires_before_the_subsets_are_listed():
+    """n points carry at least 2^n canonical covers, so on 18 points the
+    default guard fires before any of the 262 144 subsets is built."""
+    carrier = SubsetCarrier([f"p{i}" for i in range(18)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError):
+            all_canonical_covers(carrier)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_cover_guard_is_exact_on_subset_carriers(n):
+    carrier = SubsetCarrier("pqr"[:n])
+    count = len(all_canonical_covers(carrier))
+    for max_count in range(count + 1):
+        if count > max_count:
+            with pytest.raises(LimitExceededError):
+                all_canonical_covers(carrier, max_count=max_count)
+        else:
+            assert len(all_canonical_covers(carrier, max_count=max_count)) == count

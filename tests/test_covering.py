@@ -182,11 +182,13 @@ class TestSaturate:
 
 def _reference_close(space, initial, want_provenance):
     """The C1-C4 closure on a set of (subject id, cover id) pairs, with the
-    subject and holder indexes rebuilt every round; ``_close`` keeps one
-    subject bitmask per cover instead and must agree with it exactly."""
+    subject and holder indexes rebuilt every round and C3 read from
+    ``meet_cover``; ``_close`` keeps one subject bitmask per cover and ANDs
+    down-set masks instead, and must agree with it exactly."""
     carrier = space.carrier
     present = set(initial)
     provenance = {}
+    meets = {}
     stages = []
 
     forced = []
@@ -220,7 +222,10 @@ def _reference_close(space, initial, want_provenance):
             for i in cids:
                 for j in cids:
                     if i < j:
-                        propose((si, space.meet_id(i, j)), "C3")
+                        if (i, j) not in meets:
+                            meet = meet_cover(space.covers[i], space.covers[j], carrier)
+                            meets[i, j] = space.cid[meet]
+                        propose((si, meets[i, j]), "C3")
         holders = {}
         for (si, ci) in present:
             holders.setdefault(ci, set()).add(si)
@@ -346,6 +351,26 @@ class TestCloseMatchesReference:
             assert stages == want[1]
             assert provenance == want[2]
             assert audit_axioms(rel) == _reference_audit(rel)
+
+
+def _meet_carriers():
+    """The carriers of ``CLOSE_CORPUS``, subset carriers on 0-4 points, and a
+    preorder whose elements a and b are mutually below."""
+    carriers = [rel.carrier for family in CLOSE_CORPUS.values() for rel in family()]
+    carriers += [SubsetCarrier("pqrs"[:n]) for n in range(5)]
+    carriers.append(Preorder.from_edges(
+        "abct", [("a", "b"), ("b", "a"), ("a", "t"), ("c", "t")], "t"))
+    return list(dict.fromkeys(carriers))
+
+
+def test_meet_id_is_the_meet_of_the_covers():
+    """``meet_id`` ANDs two down-set masks; it must name ``meet_cover``'s
+    answer for every pair of canonical covers."""
+    for carrier in _meet_carriers():
+        space = _CoverSpace(carrier, 5000)
+        for i, u in enumerate(space.covers):
+            for j, v in enumerate(space.covers):
+                assert space.meet_id(i, j) == space.cid[meet_cover(u, v, carrier)], (u, v)
 
 
 class TestRoundsAreSemiNaive:

@@ -571,10 +571,10 @@ def test_rect_basis_agrees_with_reference_on_acceptance_cases(factors):
 
 @pytest.mark.parametrize("factors", [
     ("six", "six"), ("chain3", "chain3", "sierpinski"), ("sierpinski",) * 4,
-    ("discrete2",) * 3,
+    ("discrete2",) * 3, ("discrete3",) * 2,
 ], ids="x".join)
 def test_reports_answer_past_the_cover_guard(factors):
-    spaces = [ALL_SPACES[k] for k in factors]
+    spaces = [dict(ALL_SPACES, discrete3=space_discrete("pqr"))[k] for k in factors]
     assert _answer(_reference_spatial_product_eq, spaces) is None
     assert rect_basis_check(spaces) == []
     eq, report = spatial_product_eq(spaces)
