@@ -365,8 +365,8 @@ def _cmd_spatial(args, out):
 
 def _cmd_lambda(args, out):
     _, m = _load(args.file, want=("monoid",))
-    closed, trace = lambda_close(m, variant=args.variant)
-    out.put(command="lambda", file=args.file, variant=args.variant,
+    closed, trace = lambda_close(m)
+    out.put(command="lambda", file=args.file,
             basis=[_cover_json(u) for u in closed.basis])
     out.say(f"lambda basis: {len(closed.basis)} covers")
     for u in closed.basis:
@@ -564,7 +564,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--rank", action="store_true")
-    p.add_argument("--variant", choices=("slow", "classic"), default="slow")
     p.set_defaults(run=_cmd_lambda)
 
     p = sub.add_parser("saturate", help="close a covering relation under C1-C4")

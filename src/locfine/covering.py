@@ -71,7 +71,6 @@ class CoveringRelation:
 
     carrier: object
     pairs: frozenset
-    closed: bool = False
 
     def __post_init__(self):
         carrier, canon, normal = self.carrier, set(), {}
@@ -276,7 +275,7 @@ def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
     pairs = frozenset((space.subjects[si], space.covers[ci])
                       for ci, mask in enumerate(held) for si in _bits(mask))
     trace = DerivationTrace(((0, frozenset(rel.pairs)),) + tuple(stages))
-    return CoveringRelation(rel.carrier, pairs, closed=True), trace
+    return CoveringRelation(rel.carrier, pairs), trace
 
 
 @dataclass(frozen=True)
@@ -363,39 +362,30 @@ def member(m: CoveringMonoid, v: Cover, use_lambda: bool = True) -> bool:
     return any(refines(b, v, m.carrier) for b in m.basis)
 
 
-def lambda_close(m: CoveringMonoid, variant: str = "slow"):
+def _meet_stages(basis, carrier):
+    """The meet closure of a basis, stage by stage: stage 0 is the basis,
+    stage k the meets of a stage k-1 cover with a basis cover that no
+    earlier stage holds, in ``cover_key`` order.  The last stage is empty."""
+    basis = list(basis)
+    seen = set(basis)
+    stage = basis
+    while stage:
+        yield stage
+        new = {meet_cover(u, b, carrier) for u in stage for b in basis} - seen
+        stage = sorted(new, key=lambda c: cover_key(c, carrier))
+        seen.update(stage)
+    yield stage
+
+
+def lambda_close(m: CoveringMonoid):
     """The locally fine closure, as a monoid with a meet-closed basis.
 
-    The trace presents the closure stagewise: the slow variant meets one
-    more basis cover per stage, the classic variant meets the accumulated
-    stage with itself.  Both reach the same fixpoint.
+    The trace presents the closure stagewise, meeting one more basis cover
+    per stage.
     """
-    if variant not in ("slow", "classic"):
-        raise ValueError(f"unknown variant: {variant!r}")
-    c = m.carrier
-    cumulative = list(m.basis)
-    seen = set(cumulative)
-    stages = [(0, frozenset(m.basis))]
-    frontier = list(m.basis)
-    idx = 0
-    while True:
-        idx += 1
-        if variant == "slow":
-            candidates = [meet_cover(u, b, c) for u in frontier for b in m.basis]
-        else:
-            candidates = [meet_cover(u, w, c) for u in cumulative for w in cumulative]
-        new = []
-        for cand in sorted(set(candidates), key=lambda x: cover_key(x, c)):
-            if cand not in seen:
-                seen.add(cand)
-                new.append(cand)
-        stages.append((idx, frozenset(new)))
-        if not new:
-            break
-        cumulative.extend(new)
-        frontier = new
-    closed = CoveringMonoid(c, tuple(cumulative))
-    return closed, DerivationTrace(tuple(stages))
+    stages = [frozenset(s) for s in _meet_stages(m.basis, m.carrier)]
+    closed = CoveringMonoid(m.carrier, tuple(frozenset().union(*stages)))
+    return closed, DerivationTrace(tuple(enumerate(stages)))
 
 
 def is_locally_fine(m: CoveringMonoid) -> bool:
@@ -543,7 +533,7 @@ def is_normal(m: CoveringMonoid) -> bool:
     c = m.carrier
     if not isinstance(c, SubsetCarrier):
         raise CarrierMismatchError("normality is defined over subset carriers")
-    closure = meet_closure(m.basis, c)
+    closure = [w for stage in _meet_stages(m.basis, c) for w in stage]
     return all(any(star_refines(w, b, c) for w in closure) for b in m.basis)
 
 

@@ -33,12 +33,12 @@ from .carrier import (
     fold_meet,
     meet_cover,
     normalize,
-    subsets,
 )
 from .covering import (
     DEFAULT_MAX_COVERS,
     CoveringMonoid,
     CoveringRelation,
+    _meet_stages,
     fine_monoid,
 )
 from .errors import LimitExceededError
@@ -50,9 +50,15 @@ from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, point
 # ---------------------------------------------------------------------------
 
 def product_points(point_sets):
-    """Cartesian product of point sets, named by comma-joined components."""
+    """Cartesian product of point sets, named by comma-joined components;
+    a name may hold ',', so two tuples that join to one name are an error."""
     combos = list(iproduct(*[sorted(ps) for ps in point_sets]))
-    return [",".join(c) for c in combos], combos
+    names = {}
+    for c in combos:
+        name = ",".join(c)
+        if names.setdefault(name, c) != c:
+            raise ValueError(f"product points {names[name]} and {c} share the name {name!r}")
+    return list(names), combos
 
 
 def product_space(spaces) -> SpaceDescription:
@@ -96,16 +102,15 @@ def product_monoid(ms, max_basis: int = DEFAULT_MAX_COVERS) -> CoveringMonoid:
     """Product of cover monoids over subset carriers.
 
     The basis consists of all finite meets of pullbacks of factor basis
-    covers (basic rectangular covers).
+    covers (basic rectangular covers), at most ``max_basis`` distinct ones.
     """
     carrier, pullbacks = _pullbacks(ms)
-    basis = set()
-    for count, sub in enumerate(subsets(pullbacks)):
-        if count > max_basis:  # sub is the count-th nonempty subset
+    basis = []
+    for stage in _meet_stages(pullbacks, carrier):
+        basis += stage
+        if len(basis) > max_basis:
             raise LimitExceededError(
                 f"product basis would exceed {max_basis} meets")
-        if sub:
-            basis.add(fold_meet(sub, carrier))
     return CoveringMonoid(carrier, tuple(basis))
 
 
@@ -122,7 +127,7 @@ def canonical_cov(f: Frame, max_covers: int = DEFAULT_MAX_COVERS) -> CoveringRel
     carrier = frame_preorder(f)
     covers = all_canonical_covers(carrier, max_count=max_covers)
     pairs = {(a, u) for u in covers for a in f.down_set(f.big_join(u))}
-    return CoveringRelation(carrier, frozenset(pairs), closed=True)
+    return CoveringRelation(carrier, frozenset(pairs))
 
 
 @dataclass
@@ -130,7 +135,7 @@ class GeneratedLocale:
     """A locale presented by saturated subsets of a base carrier."""
 
     carrier: object
-    cov: object
+    cov: _Coverage
     elements: tuple
     frame: Frame
     reps: dict
@@ -176,23 +181,24 @@ def _locale_from_sats(carrier, cov, sats_with_reps, generators=None) -> Generate
     return GeneratedLocale(carrier, cov, tuple(ordered), frame, reps)
 
 
-def _fold_locale(cov, start, step, max_covers, what):
-    """The locale of saturations folded from ``start`` = sat(empty), one
-    class representative b at a time, skipping b in sat(U) (U | {b} ~ U):
-    ``step(s, rep, b)`` gives t = sat(rep | {b}) for s = sat(rep), with the
-    normalized rep | {b} if the step needed it, else None.  Returns the
-    locale and each b's saturation sat({b}), the locale's generators."""
+def _fold_locale(cov, max_covers, what):
+    """The locale of saturations folded from sat(empty), one class
+    representative b at a time, skipping b in sat(U) (U | {b} ~ U): each
+    step gives sat(U | {b}) as the least closed superset of sat(U) and b.
+    Returns the locale and each b's saturation sat({b}), the locale's
+    generators."""
     carrier = cov.carrier
+    start = cov.derivable_set(frozenset())
     sats = {start: frozenset()}
     gens = {}
     for b in carrier.class_reps():
         gens[b] = start
         for s, rep in [(s, rep) for s, rep in sats.items() if b not in s]:
-            t, u = step(s, rep, b)
+            t = cov._extend(s, [b])
             if s is start:
                 gens[b] = t
             if t not in sats:
-                sats[t] = normalize(rep | {b}, carrier) if u is None else u
+                sats[t] = normalize(rep | {b}, carrier)
         if len(sats) > max_covers:
             raise LimitExceededError(f"{what} exceeded the size guard")
     return _locale_from_sats(carrier, cov, sats, gens.values()), gens
@@ -248,10 +254,10 @@ class _Coverage:
 def locale_from_cov(rel: CoveringRelation,
                     max_covers: int = DEFAULT_MAX_COVERS) -> GeneratedLocale:
     """The locale a covering relation generates, of at most ``max_covers``
-    elements.  A closed relation gives sat(U) by lookup; otherwise the kernel
-    uses order rules (x, {y}), x <= y, and localised rules (x, V /\\ {x}),
-    x <= g, per generator (g, V) (Coquand, Sambin, Smith & Valentini, APAL
-    124, 2003); the empty piece's order rule has an empty body, as C2 gives.
+    elements.  The kernel uses order rules (x, {y}), x <= y, and localised
+    rules (x, V /\\ {x}), x <= g, per generator (g, V) (Coquand, Sambin,
+    Smith & Valentini, APAL 124, 2003); the empty piece's order rule has an
+    empty body, as C2 gives.
 
     Sound: each rule is derivable (C2; C2, C4, and C3 with (x, {x})).
     Complete: sat(U) holds U and all below it (C1, C2); g is in sat(V) as
@@ -261,27 +267,12 @@ def locale_from_cov(rel: CoveringRelation,
     a in sat(U), then on c in sat(V), all d below a and c lie in sat(U /\\ V).
     """
     carrier = rel.carrier
-    if rel.closed:
-        by_cover = {}
-        for (a, u) in rel.pairs:
-            by_cover.setdefault(u, set()).add(a)
-
-        def lookup(s, rep, b):
-            u = normalize(rep | {b}, carrier)
-            return frozenset(by_cover.get(u, ())), u
-
-        locale, _ = _fold_locale(rel, frozenset(by_cover.get(frozenset(), ())),
-                                 lookup, max_covers, "generated locale")
-        return locale
     reps = carrier.class_reps()
     rules = [(x, normalize([y], carrier))
              for x in reps for y in reps if carrier.le(x, y)]
     rules += [(x, meet_cover(v, frozenset([x]), carrier))
               for (g, v) in rel.pairs for x in reps if carrier.le(x, g)]
-    cov = _Coverage(carrier, rules)
-    locale, _ = _fold_locale(cov, cov.derivable_set(frozenset()),
-                             lambda s, rep, b: (cov._extend(s, [b]), None),
-                             max_covers, "generated locale")
+    locale, _ = _fold_locale(_Coverage(carrier, rules), max_covers, "generated locale")
     return locale
 
 
@@ -326,9 +317,7 @@ class EmbeddingPhi:
 def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
     """Coproduct of finite frames via the generated locale, with the
     embedding of the weak product into it."""
-    coverage = ProductCoverage(fs, max_covers=max_covers)
-    locale, gens = _fold_locale(coverage, coverage.derivable_set(frozenset()),
-                                lambda s, rep, b: (coverage._extend(s, [b]), None),
+    locale, gens = _fold_locale(ProductCoverage(fs, max_covers=max_covers),
                                 max_covers, "coproduct locale")
     return locale, EmbeddingPhi({b: locale.label_of(t) for b, t in gens.items()})
 

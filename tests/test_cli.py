@@ -70,6 +70,16 @@ def test_exit_codes(argv, expected, capsys):
     capsys.readouterr()
 
 
+def test_removed_lambda_variant_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", fx("trivial_monoid.cov"), "--variant", "classic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: ")
+    assert "unrecognized arguments: --variant classic" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_scan_guard_exceeded_exits_3():
     assert main(["--max-scan", "4", "saturate", fx("c4_covrel.cov")]) == 3
 
@@ -314,6 +324,21 @@ def _comma_game(tmp_path):
     return str(path)
 
 
+def _comma_factors(tmp_path, kind):
+    """Two factors whose product points ("x", "y,z") and ("x,y", "z") share
+    the name "x,y,z", as spaces or as their fine monoids."""
+    paths = []
+    for i, (a, b) in enumerate([("x", "x,y"), ("z", "y,z")]):
+        path = tmp_path / f"comma_{kind}{i}.cov"
+        if kind == "space":
+            text = f"kind space\npoints {a} {b}\nopen {{}}\nopen {{{a}}}\nopen {{{a} {b}}}\n"
+        else:
+            text = f"kind monoid\npoints {a} {b}\ncover {{{a}}} {{{b}}}\n"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
 INVALID_ARGUMENTS = {
     "entail-stray-brace":
         lambda tmp: ["entail", fx("formal_meet.cov"), "--judgment", "0 {0}}"],
@@ -340,6 +365,21 @@ INVALID_ARGUMENTS = {
 @pytest.mark.parametrize("case", sorted(INVALID_ARGUMENTS))
 def test_invalid_arguments_exit_2_without_traceback(case, tmp_path, capsys):
     _assert_exits_2_without_traceback(INVALID_ARGUMENTS[case](tmp_path), capsys)
+
+
+@pytest.mark.parametrize("kind,command", [("monoid", ["product"]),
+                                          ("space", ["coproduct", "--compare-space"])])
+def test_point_name_collision_exits_2_naming_both_tuples(kind, command, tmp_path, capsys):
+    # the coproduct is answered before its oracle, the product space, is built
+    argv = [command[0], *_comma_factors(tmp_path, kind), *command[1:]]
+    message = "product points ('x', 'y,z') and ('x,y', 'z') share the name 'x,y,z'"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["--json"] + argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exit"] == 2 and payload["error"] == message
 
 
 def test_strategy_key_collision_names_both_pieces(tmp_path, capsys):

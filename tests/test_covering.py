@@ -22,6 +22,7 @@ from locfine.covering import (
     AuditReport,
     CoveringMonoid,
     CoveringRelation,
+    DerivationTrace,
     _bits,
     _close,
     _CoverSpace,
@@ -54,6 +55,7 @@ from locfine.products import canonical_cov, product_space
 from test_acceptance import CORPUS, _commutative_monoids_up_to, random_monoid
 
 f = frozenset
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def cov(*member_sets):
@@ -124,7 +126,6 @@ class TestSaturate:
     def test_c4_composition(self, c4_generators, c4_preorder):
         closed, trace = saturate(c4_generators)
         assert closed.holds("t", f({"d", "e"}))
-        assert closed.closed
         assert trace.final_is_empty
 
     def test_empty_generators_forced_pairs_only(self, c4_preorder):
@@ -464,6 +465,61 @@ class TestMonoidBasics:
             member(m, cov("07"))
 
 
+def _sampled_monoids():
+    """40 monoids of 1-3 random basis covers on 1-4 points."""
+    rng = random.Random(11)
+    for trial in range(40):
+        pts = [str(i) for i in range(rng.randint(1, 4))]
+        c = SubsetCarrier(pts)
+        basis = []
+        for _ in range(rng.randint(1, 3)):
+            members = set()
+            rest = set(pts)
+            while rest:
+                m = f(rng.sample(sorted(c.points), rng.randint(1, len(pts))))
+                members.add(m)
+                rest -= m
+            basis.append(f(members))
+        yield CoveringMonoid(c, tuple(basis))
+
+
+def _reference_lambda_close(m):
+    """The closure by its stagewise loop: each stage meets the covers new in
+    the one before with every basis cover and keeps the unseen meets."""
+    c = m.carrier
+    cumulative = list(m.basis)
+    seen = set(cumulative)
+    stages = [(0, frozenset(m.basis))]
+    frontier = list(m.basis)
+    idx = 0
+    while True:
+        idx += 1
+        candidates = [meet_cover(u, b, c) for u in frontier for b in m.basis]
+        new = []
+        for cand in sorted(set(candidates), key=lambda x: cover_key(x, c)):
+            if cand not in seen:
+                seen.add(cand)
+                new.append(cand)
+        stages.append((idx, frozenset(new)))
+        if not new:
+            break
+        cumulative.extend(new)
+        frontier = new
+    return CoveringMonoid(c, tuple(cumulative)), DerivationTrace(tuple(stages))
+
+
+def _fixture_monoids():
+    """The monoids of the monoid and game fixtures."""
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            text = fh.read()
+        if text.startswith(("kind monoid", "kind game")):
+            _, value = parse_structure(text)
+            out.append(getattr(value, "monoid", value))
+    return out
+
+
 class TestLambdaClose:
     def test_closure_is_meet_closure_of_basis(self, c3):
         m = CoveringMonoid(c3, (cov("01", "12"), cov("0", "12")))
@@ -484,27 +540,9 @@ class TestLambdaClose:
         assert set(lam.basis) == set(closed)
         assert len(trace.stages) == 2 and trace.stages[1][1] == f()
 
-    def test_classic_variant_reaches_same_fixpoint(self, c3):
-        m = CoveringMonoid(c3, (cov("01", "2"), cov("0", "12"), cov("02", "1")))
-        slow, _ = lambda_close(m, variant="slow")
-        classic, _ = lambda_close(m, variant="classic")
-        assert filters_equal(slow.basis, classic.basis, c3)
-
     def test_coreflection_laws_sampled(self):
-        rng = random.Random(11)
-        for trial in range(40):
-            pts = [str(i) for i in range(rng.randint(1, 4))]
-            c = SubsetCarrier(pts)
-            basis = []
-            for _ in range(rng.randint(1, 3)):
-                members = set()
-                rest = set(pts)
-                while rest:
-                    m = f(rng.sample(sorted(c.points), rng.randint(1, len(pts))))
-                    members.add(m)
-                    rest -= m
-                basis.append(f(members))
-            m = CoveringMonoid(c, tuple(basis))
+        for m in _sampled_monoids():
+            c, basis = m.carrier, m.basis
             lam, _ = lambda_close(m)
             # extensive
             assert filter_leq(m.basis, lam.basis, c)
@@ -519,6 +557,15 @@ class TestLambdaClose:
             assert filter_leq(lam.basis, lam_big.basis, c)
             # finite collapse oracle: membership equals the meet closure's
             assert filters_equal(lam.basis, meet_closure(m.basis, c), c)
+
+    def test_stages_match_the_reference_loop(self):
+        monoids = list(_sampled_monoids()) + _fixture_monoids()
+        assert len(monoids) == 45
+        for m in monoids:
+            lam, trace = lambda_close(m)
+            ref, ref_trace = _reference_lambda_close(m)
+            assert trace == ref_trace, m
+            assert lam.basis == ref.basis, m
 
 
 class TestLocallyFineAndRank:

@@ -17,6 +17,8 @@ from locfine.carrier import (
     SubsetCarrier,
     all_canonical_covers,
     antichains,
+    fold_meet,
+    meet_cover,
     normalize,
     refines,
 )
@@ -25,6 +27,8 @@ from locfine.covering import (
     CoveringRelation,
     audit_axioms,
     fine_monoid,
+    global_meet,
+    meet_closure,
     member,
     saturate,
 )
@@ -112,6 +116,37 @@ class TestProductMonoid:
         with pytest.raises(ValueError):
             product_monoid([])
 
+    def test_basis_is_the_meet_closure_of_the_pullbacks(self):
+        spaces = dict(ALL_SPACES, discrete3=space_discrete("pqr"))
+        checked = 0
+        for a in sorted(spaces):
+            for b in sorted(spaces):
+                ms = [fine_monoid(spaces[a]), fine_monoid(spaces[b])]
+                carrier, pullbacks = products._pullbacks(ms)
+                if len(pullbacks) > 10:
+                    continue
+                assert list(product_monoid(ms).basis) == \
+                    meet_closure(pullbacks, carrier), (a, b)
+                checked += 1
+        assert checked == 33
+
+    def test_discrete3_square_answers(self):
+        ms = [fine_monoid(space_discrete("pqr"))] * 2
+        carrier, pullbacks = products._pullbacks(ms)
+        p = product_monoid(ms)
+        assert len(pullbacks) == 17 and len(p.basis) == 81
+        basis = set(p.basis)
+        assert all(meet_cover(u, v, carrier) in basis for u in basis for v in basis)
+        assert global_meet(p) == fold_meet(pullbacks, carrier)
+
+    def test_colliding_point_names_are_rejected(self):
+        # ("x", "y,z") and ("x,y", "z") both join to "x,y,z"
+        spaces = [SpaceDescription(f({"x", "x,y"}), f({f(), f({"x"}), f({"x", "x,y"})})),
+                  SpaceDescription(f({"y,z", "z"}), f({f(), f({"z"}), f({"y,z", "z"})}))]
+        for build in (product_space, lambda ss: product_monoid([fine_monoid(s) for s in ss])):
+            with pytest.raises(ValueError, match=r"\('x', 'y,z'\) and \('x,y', 'z'\)"):
+                build(spaces)
+
 
 class TestCanonicalCov:
     def test_bottom_covered_by_empty_family(self):
@@ -131,7 +166,6 @@ class TestCanonicalCov:
 
     def test_closed_and_audits_clean(self):
         rel = canonical_cov(boolean_frame_2())
-        assert rel.closed
         assert audit_axioms(rel).ok
 
 
@@ -720,8 +754,7 @@ def test_kernel_matches_the_rescanning_loop_on_every_cover():
 def _reference_locale_from_cov(rel, max_covers=5000):
     """The locale of the distinct saturations of every canonical cover,
     read off the materialised C1-C4 closure."""
-    if not rel.closed:
-        rel, _ = saturate(rel, max_covers=max_covers)
+    rel, _ = saturate(rel, max_covers=max_covers)
     carrier = rel.carrier
     by_cover = {}
     for (a, u) in rel.pairs:
@@ -769,17 +802,22 @@ def _relation_corpus():
     corpus = [canonical_cov(fr) for fr in (
         chain_frame(2), chain_frame(3), chain_frame(4), boolean_frame_2(),
         frame_from_space(space_six_opens()), big)]
-    corpus.append(CoveringRelation(c4, f({
-        ("t", f({"b", "c"})), ("b", f({"d"})), ("c", f({"e"}))})))
+    c4_rel = CoveringRelation(c4, f({
+        ("t", f({"b", "c"})), ("b", f({"d"})), ("c", f({"e"}))}))
+    corpus.append(c4_rel)
     corpus.append(CoveringRelation(c4, f()))
     corpus += [CoveringRelation(SubsetCarrier("pqr"[:n]), f()) for n in (1, 2, 3)]
-    corpus += [_random_relation(rng, _random_preorder(rng, rng.randint(3, 6)), 3)
-               for _ in range(160)]
+    on_preorders = [_random_relation(rng, _random_preorder(rng, rng.randint(3, 6)), 3)
+                    for _ in range(160)]
+    corpus += on_preorders
     for fr in small:
         corpus += _frame_relations(rng, fr, 6)
     corpus += _frame_relations(rng, big, 3)
     corpus += [_random_relation(rng, SubsetCarrier("pqr"), 3) for _ in range(40)]
-    corpus += [_random_relation(rng, SubsetCarrier("pqrs"), 2) for _ in range(3)]
+    on_subsets = [_random_relation(rng, SubsetCarrier("pqrs"), 2) for _ in range(3)]
+    corpus += on_subsets
+    # closed relations take the same rules as their generators
+    corpus += [saturate(rel)[0] for rel in [c4_rel, *on_preorders[:4], *on_subsets]]
     return corpus
 
 
@@ -793,16 +831,15 @@ def test_locale_from_cov_matches_the_materialised_closure():
         assert loc.frame.elements == ref.frame.elements, rel
         assert loc.frame.meanings == ref.frame.meanings, rel
         assert loc.frame.le_set == ref.frame.le_set, rel
-        if not rel.closed:
-            for x in loc.frame.elements:
-                assert loc.cov.derivable_set(loc.reps[x]) == loc.frame.meaning(x)
+        for x in loc.frame.elements:
+            assert loc.cov.derivable_set(loc.reps[x]) == loc.frame.meaning(x)
 
 
 def test_kernel_holds_matches_saturate_on_small_carriers():
     checked = 0
     for rel in RELATIONS:
         carrier = rel.carrier
-        if rel.closed or len(carrier.class_reps()) > 8:
+        if len(carrier.class_reps()) > 8:
             continue
         cov = locale_from_cov(rel).cov
         closed, _ = saturate(rel)
@@ -907,8 +944,6 @@ def test_fold_step_matches_the_closure_on_presentations(monkeypatch):
     that the materialised C1-C4 closure holds for the normalized union."""
     steps = 0
     for rel in RELATIONS:
-        if rel.closed:
-            continue
         closure, _ = saturate(rel)
         by_cover = {}
         for (a, u) in closure.pairs:
