@@ -30,6 +30,7 @@ from .covering import (
     CoveringRelation,
     NoetherianTree,
     _fmt_cover,
+    _fmt_elem,
     audit_axioms,
     bounded_member,
     lambda_close,
@@ -166,7 +167,7 @@ def _parse_covrel(rows):
     pairs = set()
     for args in _rows_by(rows, "pair", 2):
         subject = _name(args[0])
-        pairs.add((subject, frozenset(_name(n) for n in _set_literal(args[1]))))
+        pairs.add((subject, _set_literal(args[1])))
     return CoveringRelation(pre, frozenset(pairs))
 
 
@@ -201,20 +202,12 @@ _PARSERS = {
 }
 
 
-def _fmt_set(s):
-    return "{" + " ".join(sorted(s)) + "}"
-
-
-def _fmt_cover_of_sets(u):
-    return " ".join(_fmt_set(m) for m in sorted(u, key=lambda m: tuple(sorted(m))))
-
-
 def emit_structure(kind, value) -> str:
     out = [f"kind {kind}"]
     if kind == "space":
         out.append("points " + " ".join(sorted(value.points)))
         for o in sorted(value.opens, key=lambda o: (len(o), tuple(sorted(o)))):
-            out.append("open " + _fmt_set(o))
+            out.append("open " + _fmt_elem(o))
     elif kind == "frame":
         out.append("elements " + " ".join(value.elements))
         for (a, b) in sorted(value.le_set):
@@ -223,7 +216,7 @@ def emit_structure(kind, value) -> str:
     elif kind == "monoid":
         out.append("points " + " ".join(sorted(value.carrier.points)))
         for u in value.basis:
-            out.append("cover " + _fmt_cover_of_sets(u))
+            out.append("cover " + _fmt_cover(u, value.carrier))
     elif kind == "preorder":
         out.append("elements " + " ".join(value.elements_tuple))
         out.append(f"top {value.top}")
@@ -233,7 +226,7 @@ def emit_structure(kind, value) -> str:
     elif kind == "covrel":
         out.extend(emit_structure("preorder", value.carrier).splitlines()[1:])
         for (a, u) in value.sorted_pairs():
-            out.append(f"pair {a} " + _fmt_set(u))
+            out.append(f"pair {a} " + _fmt_elem(u))
     elif kind == "formal":
         out.append("elements " + " ".join(value.elements))
         out.append(f"unit {value.unit}")
@@ -243,13 +236,13 @@ def emit_structure(kind, value) -> str:
                 if a <= b:
                     out.append(f"mul {a} {b} {value.mul[(a, b)]}")
         for j in sorted(value.axioms, key=lambda j: (j.subject, tuple(sorted(j.cover)))):
-            out.append(f"axiom {j.subject} " + _fmt_set(j.cover))
+            out.append(f"axiom {j.subject} " + _fmt_elem(j.cover))
     elif kind == "game":
         out.append("points " + " ".join(sorted(value.monoid.carrier.points)))
         for u in value.monoid.basis:
-            out.append("cover " + _fmt_cover_of_sets(u))
-        out.append("target " + _fmt_cover_of_sets(value.target))
-        out.append("start " + _fmt_set(value.start))
+            out.append("cover " + _fmt_cover(u, value.monoid.carrier))
+        out.append("target " + _fmt_cover(value.target, value.monoid.carrier))
+        out.append("start " + _fmt_elem(value.start))
     else:
         raise ParseError(f"unknown kind {kind!r}")
     return "\n".join(out) + "\n"
@@ -275,8 +268,7 @@ def _tree_json(t: NoetherianTree):
 
 
 def _print_tree(t: NoetherianTree, emit, indent=0):
-    label = _fmt_set(t.node) if isinstance(t.node, frozenset) else str(t.node)
-    emit("  " * indent + "- " + label)
+    emit("  " * indent + "- " + _fmt_elem(t.node))
     for c in t.children:
         _print_tree(c, emit, indent + 1)
 
@@ -395,7 +387,7 @@ def _cmd_saturate(args, out):
             pairs=[[a, sorted(u)] for (a, u) in pairs])
     out.say(f"saturated: {len(pairs)} pairs")
     for (a, u) in pairs:
-        out.say(f"  pair {a} " + _fmt_set(u))
+        out.say(f"  pair {a} " + _fmt_elem(u))
     if args.trace:
         out.put(trace=[[idx, len(added)] for idx, added in trace.stages])
         for idx, added in trace.stages:
@@ -432,7 +424,7 @@ def _cmd_product(args, out):
     out.say(f"product points: {len(prod.carrier.points)}")
     out.say(f"product basis: {len(prod.basis)} covers")
     for u in prod.basis:
-        out.say("  cover " + _fmt_cover_of_sets(u))
+        out.say("  cover " + _fmt_cover(u, prod.carrier))
     return 0
 
 
@@ -443,21 +435,22 @@ def _cmd_coproduct(args, out):
         kind, value = _load(p, want=("space", "frame"))
         frames.append(_as_frame(kind, value))
         spaces.append(value if kind == "space" else None)
+    oracle = None
+    if args.compare_space:
+        if any(s is None for s in spaces):
+            raise ParseError("--compare-space needs space files as inputs")
+        oracle = frame_from_space(product_space(spaces))
     loc, _phi = coproduct_frames(frames, max_covers=args.max_scan)
     pts = points_of(loc.frame)
     out.put(command="coproduct", files=list(args.files),
             elements=len(loc.frame), points=len(pts))
     out.say(f"coproduct frame: {len(loc.frame)} elements, {len(pts)} points")
-    code = 0
-    if args.compare_space:
-        if any(s is None for s in spaces):
-            raise ParseError("--compare-space needs space files as inputs")
-        oracle = frame_from_space(product_space(spaces))
-        ok, _ = frame_iso(loc.frame, oracle)
-        out.put(iso_to_product_space=ok)
-        out.say(f"isomorphic to the product space frame: {str(ok).lower()}")
-        code = 0 if ok else 1
-    return code
+    if oracle is None:
+        return 0
+    ok, _ = frame_iso(loc.frame, oracle)
+    out.put(iso_to_product_space=ok)
+    out.say(f"isomorphic to the product space frame: {str(ok).lower()}")
+    return 0 if ok else 1
 
 
 def _cmd_game(args, out):
@@ -470,7 +463,7 @@ def _cmd_game(args, out):
         for p, u in plays:
             key = ",".join(sorted(p)) or "{}"    # a name may itself hold ','
             if key in pieces:
-                raise ParseError(f"pieces {_fmt_set(pieces[key])} and {_fmt_set(p)} "
+                raise ParseError(f"pieces {_fmt_elem(pieces[key])} and {_fmt_elem(p)} "
                                  f"share the strategy key {key!r}")
             pieces[key], moves[key] = p, _cover_json(u)
     winner = "I" if result.winner is Player.I else "II"
@@ -485,7 +478,7 @@ def _cmd_game(args, out):
         else:
             out.say("strategy:")
             for p, u in plays:
-                out.say("  at " + _fmt_set(p) + " play " + _fmt_cover_of_sets(u))
+                out.say("  at " + _fmt_elem(p) + " play " + _fmt_cover(u, g.monoid.carrier))
     return 0
 
 

@@ -170,9 +170,6 @@ class _CoverSpace:
                      for m in self.member_sids]
         self.did = {d: i for i, d in enumerate(self.down)}
 
-    def canon_pair(self, a, u):
-        return self.sid[self.carrier.rep(a)], self.cid[normalize(u, self.carrier)]
-
     def meet_id(self, i, j):
         return self.did[self.down[i] & self.down[j]]
 
@@ -235,32 +232,34 @@ def _rounds(held, seeds, combine, members, order, rules):
         delta, seeds = gained, ()
 
 
-def _close(space, initial):
-    """Round-based closure under C1-C4; returns (held, stage list, provenance).
+def _close(space, rel):
+    """Round-based closure under C1-C4 of a relation's pairs; returns
+    (held, rounds).
 
-    ``held[c]`` is the bitmask of the subject ids s with (s, c) derived.  C1
-    and C2 seed round one; C3 combines two covers of a subject into their
-    meet and C4 is transitivity, both run by ``_rounds`` over the cover ids.
-    A new pair is credited to the first rule that proposes it, in the order
-    C1, C2, C3, C4.
+    The pairs are taken as ``CoveringRelation`` made them: class-
+    representative subjects and normalized covers.  ``held[c]`` is the
+    bitmask of the subject ids s with (s, c) derived.  C1 and C2 seed round
+    one; C3 combines two covers of a subject into their meet and C4 is
+    transitivity, both run by ``_rounds`` over the cover ids, whose rounds
+    are returned.  A new pair is credited to the first rule that proposes
+    it, in the order C1, C2, C3, C4.
     """
     n = len(space.covers)
     members = [sum(1 << s for s in m) for m in space.member_sids]
     held = [0] * n
-    for si, ci in initial:
-        held[ci] |= 1 << si
+    for a, u in rel.pairs:
+        held[space.cid[u]] |= 1 << space.sid[a]
     seeds = [("C1", ci, m) for ci, m in enumerate(members)]
     seeds += [("C2", space.cid[normalize([b], space.carrier)], under)
               for b, under in zip(space.subjects, space.under)]
-    provenance, stages = {}, []
-    for found in _rounds(held, seeds, space.meet_id, members, range(n), ("C3", "C4")):
-        added = []
-        for rule, ci, fresh, _ in found:
-            for si in _bits(fresh):
-                provenance[si, ci] = rule
-                added.append((space.subjects[si], space.covers[ci]))
-        stages.append((len(stages) + 1, frozenset(added)))
-    return held, stages, provenance
+    return held, _rounds(held, seeds, space.meet_id, members, range(n), ("C3", "C4"))
+
+
+def _round_pairs(space, found):
+    """(rule, (subject, cover)) for each pair a round of ``_close`` adds."""
+    for rule, ci, fresh, _ in found:
+        for si in _bits(fresh):
+            yield rule, (space.subjects[si], space.covers[ci])
 
 
 def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
@@ -270,12 +269,11 @@ def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
     stage per derivation round; the final stage is empty.
     """
     space = _CoverSpace(rel.carrier, max_covers)
-    initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
-    held, stages, _ = _close(space, initial)
-    pairs = frozenset((space.subjects[si], space.covers[ci])
-                      for ci, mask in enumerate(held) for si in _bits(mask))
-    trace = DerivationTrace(((0, frozenset(rel.pairs)),) + tuple(stages))
-    return CoveringRelation(rel.carrier, pairs), trace
+    _, rounds = _close(space, rel)
+    stages = [rel.pairs] + [frozenset(p for _, p in _round_pairs(space, found))
+                            for found in rounds]
+    trace = DerivationTrace(tuple(enumerate(stages)))
+    return CoveringRelation(rel.carrier, frozenset().union(*stages)), trace
 
 
 @dataclass(frozen=True)
@@ -321,18 +319,13 @@ def audit_axioms(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS) ->
     composites explicitly.
     """
     space = _CoverSpace(rel.carrier, max_covers)
-    initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
-    _, _, provenance = _close(space, initial)
+    _, rounds = _close(space, rel)
     buckets = {"C1": [], "C2": [], "C3": [], "C4": []}
-    for (si, ci), rule in provenance.items():
-        buckets[rule].append((space.subjects[si], space.covers[ci]))
+    for found in rounds:
+        for rule, pair in _round_pairs(space, found):
+            buckets[rule].append(pair)
     key = lambda p: (rel.carrier.key(p[0]), cover_key(p[1], rel.carrier))
-    return AuditReport(
-        c1=tuple(sorted(buckets["C1"], key=key)),
-        c2=tuple(sorted(buckets["C2"], key=key)),
-        c3=tuple(sorted(buckets["C3"], key=key)),
-        c4=tuple(sorted(buckets["C4"], key=key)),
-    )
+    return AuditReport(*(tuple(sorted(buckets[r], key=key)) for r in ("C1", "C2", "C3", "C4")))
 
 
 # ---------------------------------------------------------------------------

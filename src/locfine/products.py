@@ -85,6 +85,7 @@ def pullback_cover(cover, axis, point_sets):
 
 def _pullbacks(ms):
     """The product carrier and the sorted pullbacks of the basis covers."""
+    ms = list(ms)
     if not ms:
         raise ValueError("the product of no monoids is undefined")
     for m in ms:
@@ -270,8 +271,11 @@ def locale_from_cov(rel: CoveringRelation,
     reps = carrier.class_reps()
     rules = [(x, normalize([y], carrier))
              for x in reps for y in reps if carrier.le(x, y)]
-    rules += [(x, meet_cover(v, frozenset([x]), carrier))
-              for (g, v) in rel.pairs for x in reps if carrier.le(x, g)]
+    # a localised rule depends on (x, V) alone, not on the generator g
+    localised = dict.fromkeys((x, v) for (g, v) in rel.pairs
+                              for x in reps if carrier.le(x, g))
+    rules += dict.fromkeys((x, meet_cover(v, frozenset([x]), carrier))
+                           for x, v in localised)
     locale, _ = _fold_locale(_Coverage(carrier, rules), max_covers, "generated locale")
     return locale
 

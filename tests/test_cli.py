@@ -229,14 +229,17 @@ def test_json_and_text_verdicts_agree(argv, expected, capsys):
 
 
 def _assert_exits_2_without_traceback(argv, capsys):
+    """Exit 2 with the error alone: one text line, or a payload of
+    command, error and exit."""
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out.startswith("error: ")
+    assert captured.out.startswith("error: ") and captured.out.count("\n") == 1
     assert "Traceback" not in captured.out + captured.err
     assert main(["--json"] + argv) == 2
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["exit"] == 2 and payload["error"]
+    assert set(payload) == {"command", "error", "exit"}
     assert "Traceback" not in captured.err
 
 
@@ -359,6 +362,12 @@ INVALID_ARGUMENTS = {
     "bounded-negative-depth":
         lambda tmp: ["bounded", fx("overlap_monoid.cov"), "--target",
                      "{0} {1} {2}", "--depth", "-1"],
+    # the oracle's inputs are checked before the coproduct is reported
+    "coproduct-compare-space-frame-input":
+        lambda tmp: ["coproduct", fx("sierpinski_frame.cov"), fx("sierpinski_space.cov"),
+                     "--compare-space"],
+    "coproduct-compare-space-point-collision":
+        lambda tmp: ["coproduct", *_comma_factors(tmp, "space"), "--compare-space"],
 }
 
 
@@ -370,7 +379,6 @@ def test_invalid_arguments_exit_2_without_traceback(case, tmp_path, capsys):
 @pytest.mark.parametrize("kind,command", [("monoid", ["product"]),
                                           ("space", ["coproduct", "--compare-space"])])
 def test_point_name_collision_exits_2_naming_both_tuples(kind, command, tmp_path, capsys):
-    # the coproduct is answered before its oracle, the product space, is built
     argv = [command[0], *_comma_factors(tmp_path, kind), *command[1:]]
     message = "product points ('x', 'y,z') and ('x,y', 'z') share the name 'x,y,z'"
     assert main(argv) == 2

@@ -181,7 +181,7 @@ class TestSaturate:
         assert trace.stages[-1][1] == f()
 
 
-def _reference_close(space, initial, want_provenance):
+def _reference_close(space, initial):
     """The C1-C4 closure on a set of (subject id, cover id) pairs, with the
     subject and holder indexes rebuilt every round and C3 read from
     ``meet_cover``; ``_close`` keeps one subject bitmask per cover and ANDs
@@ -244,20 +244,25 @@ def _reference_close(space, initial, want_provenance):
             break
         for pair, rule in added.items():
             present.add(pair)
-            if want_provenance:
-                provenance[pair] = rule
+            provenance[pair] = rule
     return present, stages, provenance
 
 
-def _reference_audit(rel):
+def _reference_initial(space, rel):
+    """A relation's pairs as (subject id, cover id), canonicalized here
+    through ``rep`` and ``normalize``; ``_close`` takes them as given."""
+    carrier = space.carrier
+    return {(space.sid[carrier.rep(a)], space.cid[normalize(u, carrier)])
+            for (a, u) in rel.pairs}
+
+
+def _reference_audit(space, initial, present, provenance):
     """``audit_axioms`` read off ``_reference_close``'s provenance."""
-    space = _CoverSpace(rel.carrier, 5000)
-    initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
-    present, _, provenance = _reference_close(space, initial, want_provenance=True)
     buckets = {"C1": [], "C2": [], "C3": [], "C4": []}
     for si, ci in present - initial:
         buckets[provenance[si, ci]].append((space.subjects[si], space.covers[ci]))
-    key = lambda p: (rel.carrier.key(p[0]), cover_key(p[1], rel.carrier))
+    carrier = space.carrier
+    key = lambda p: (carrier.key(p[0]), cover_key(p[1], carrier))
     return AuditReport(*(tuple(sorted(buckets[r], key=key)) for r in ("C1", "C2", "C3", "C4")))
 
 
@@ -338,20 +343,23 @@ CLOSE_CORPUS = {
 
 
 class TestCloseMatchesReference:
-    """``_close`` keeps one subject bitmask per cover; it must give the
-    reference's pairs, stage sets and provenance, and so the same audit."""
+    """``_close`` keeps one subject bitmask per cover; ``saturate`` must give
+    the reference's pairs and stage sets, and ``audit_axioms`` credit each
+    pair to the reference's rule."""
 
     @pytest.mark.parametrize("family", sorted(CLOSE_CORPUS))
     def test_pairs_stages_and_provenance(self, family):
         for rel in CLOSE_CORPUS[family]():
             space = _CoverSpace(rel.carrier, 5000)
-            initial = {space.canon_pair(a, u) for (a, u) in rel.pairs}
-            held, stages, provenance = _close(space, initial)
-            want = _reference_close(space, initial, want_provenance=True)
-            assert {(si, ci) for ci, mask in enumerate(held) for si in _bits(mask)} == want[0]
-            assert stages == want[1]
-            assert provenance == want[2]
-            assert audit_axioms(rel) == _reference_audit(rel)
+            initial = _reference_initial(space, rel)
+            present, stages, provenance = _reference_close(space, initial)
+            names = lambda ids: f((space.subjects[si], space.covers[ci]) for si, ci in ids)
+            held, _ = _close(space, rel)
+            assert {(si, ci) for ci, mask in enumerate(held) for si in _bits(mask)} == present
+            closed, trace = saturate(rel)
+            assert closed.pairs == names(present)
+            assert trace.stages == ((0, names(initial)),) + tuple(stages)
+            assert audit_axioms(rel) == _reference_audit(space, initial, present, provenance)
 
 
 def _meet_carriers():
@@ -386,8 +394,7 @@ class TestRoundsAreSemiNaive:
             space = _CoverSpace(rel.carrier, 5000)
             members = [sum(1 << s for s in m) for m in space.member_sids]
             held = [0] * len(space.covers)
-            for a, u in rel.pairs:
-                si, ci = space.canon_pair(a, u)
+            for si, ci in _reference_initial(space, rel):
                 held[ci] |= 1 << si
             calls = []
 

@@ -139,6 +139,14 @@ class TestProductMonoid:
         assert all(meet_cover(u, v, carrier) in basis for u in basis for v in basis)
         assert global_meet(p) == fold_meet(pullbacks, carrier)
 
+    def test_iterator_argument_gives_the_list_product(self):
+        # an iterator can be read only once; the trivial monoid on the one
+        # point '' is what a second read of it gives
+        spaces = [space_sierpinski(), space_chain3()]
+        from_list = product_monoid([fine_monoid(s) for s in spaces])
+        assert product_monoid(map(fine_monoid, spaces)) == from_list
+        assert len(from_list.carrier.points) == 6
+
     def test_colliding_point_names_are_rejected(self):
         # ("x", "y,z") and ("x,y", "z") both join to "x,y,z"
         spaces = [SpaceDescription(f({"x", "x,y"}), f({f(), f({"x"}), f({"x", "x,y"})})),
