@@ -6,8 +6,8 @@ Two closure engines live here:
   covering-relation axioms: C1 membership, C2 order, C3 meets, C4
   transitivity.  Pairs are kept in canonical form (class-representative
   subjects, normalized covers), which bounds the state space and makes the
-  round-based derivation deterministic.  The rounds are semi-naive, and
-  their kernel ``_rounds`` also saturates formal entailment.
+  round-based derivation deterministic.  The rounds are semi-naive.  Formal
+  entailment runs the same closure, with the cover product in place of meet.
 
 * ``lambda_close`` closes a monoid of covers of the top element under the
   locally fine combination.  A monoid's own membership asks for a single
@@ -174,21 +174,20 @@ class _CoverSpace:
         return self.did[self.down[i] & self.down[j]]
 
 
-def _rounds(held, seeds, combine, members, order, rules):
+def _rounds(held, seeds, combine, members):
     """Semi-naive closure of (subject, cover) facts; returns the rounds.
 
     ``held[c]``, the bitmask of subjects s with (s, c) derived, is updated in
     place.  Round one proposes the ``seeds`` (rule, cover, subject mask).
-    Every round proposes, from the facts held before it, ``combine(i, j)``
-    from (s, i) and (s, j) for i no later than j in ``order``, then v from
-    (s, u) when every subject in ``members[u]`` holds v; ``rules`` names the
-    two.  Only proposals with a premise new in the round before are visited
-    (round one counts every initial fact as new): the others added nothing
-    then.  They are visited in naive order and a new fact keeps its first
-    proposer.  A round lists (rule, cover, new subject mask, premise covers);
-    the last round is empty.
+    Every round proposes, from the facts held before it, C3: ``combine(i, j)``
+    from (s, i) and (s, j) for i <= j, then C4: v from (s, u) when every
+    subject in ``members[u]`` holds v.  Only proposals with a premise new in
+    the round before are visited (round one counts every initial fact as
+    new): the others added nothing then.  They are visited in naive order,
+    by cover id, and a new fact keeps its first proposer.  A round lists
+    (rule, cover, new subject mask, premise covers); the last round is empty.
     """
-    combine_rule, compose_rule = rules
+    covers = range(len(held))
     delta = list(held)
     rounds = []
     while True:
@@ -199,9 +198,9 @@ def _rounds(held, seeds, combine, members, order, rules):
             if fresh:
                 gained[c] |= fresh
                 found.append((rule, c, fresh, ()))
-        live = [c for c in order if held[c]]
+        live = [c for c in covers if held[c]]
         changed = [c for c in live if delta[c]]
-        k = 0                   # changed[k:] lie at or after i in ``order``
+        k = 0                   # changed[k:] lie at or after i
         for x, i in enumerate(live):
             hi, di = held[i], delta[i]
             if di:
@@ -213,17 +212,17 @@ def _rounds(held, seeds, combine, members, order, rules):
                     fresh = mask & ~(held[w] | gained[w])
                     if fresh:
                         gained[w] |= fresh
-                        found.append((combine_rule, w, fresh, (i, j)))
+                        found.append(("C3", w, fresh, (i, j)))
         for u in live:
             hu, du, mu = held[u], delta[u], members[u]
-            for v in order if du else changed:
+            for v in covers if du else changed:
                 hv = held[v]
                 if mu & ~hv:
                     continue
                 fresh = (hu if mu & delta[v] else du) & ~(hv | gained[v])
                 if fresh:
                     gained[v] |= fresh
-                    found.append((compose_rule, v, fresh, (u,)))
+                    found.append(("C4", v, fresh, (u,)))
         rounds.append(found)
         if not found:
             return rounds
@@ -232,27 +231,27 @@ def _rounds(held, seeds, combine, members, order, rules):
         delta, seeds = gained, ()
 
 
-def _close(space, rel):
+def _close(space, rel, combine):
     """Round-based closure under C1-C4 of a relation's pairs; returns
     (held, rounds).
 
     The pairs are taken as ``CoveringRelation`` made them: class-
     representative subjects and normalized covers.  ``held[c]`` is the
     bitmask of the subject ids s with (s, c) derived.  C1 and C2 seed round
-    one; C3 combines two covers of a subject into their meet and C4 is
-    transitivity, both run by ``_rounds`` over the cover ids, whose rounds
-    are returned.  A new pair is credited to the first rule that proposes
-    it, in the order C1, C2, C3, C4.
+    one; C3 combines covers i and j of a subject into ``combine(i, j)`` (the
+    meet ``space.meet_id``; for formal entailment the normalized product)
+    and C4 is transitivity, both run by ``_rounds``, whose rounds are
+    returned.  A new pair is credited to the first rule that proposes it, in
+    the order C1, C2, C3, C4.
     """
-    n = len(space.covers)
     members = [sum(1 << s for s in m) for m in space.member_sids]
-    held = [0] * n
+    held = [0] * len(space.covers)
     for a, u in rel.pairs:
         held[space.cid[u]] |= 1 << space.sid[a]
     seeds = [("C1", ci, m) for ci, m in enumerate(members)]
     seeds += [("C2", space.cid[normalize([b], space.carrier)], under)
               for b, under in zip(space.subjects, space.under)]
-    return held, _rounds(held, seeds, space.meet_id, members, range(n), ("C3", "C4"))
+    return held, _rounds(held, seeds, combine, members)
 
 
 def _round_pairs(space, found):
@@ -269,7 +268,7 @@ def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
     stage per derivation round; the final stage is empty.
     """
     space = _CoverSpace(rel.carrier, max_covers)
-    _, rounds = _close(space, rel)
+    _, rounds = _close(space, rel, space.meet_id)
     stages = [rel.pairs] + [frozenset(p for _, p in _round_pairs(space, found))
                             for found in rounds]
     trace = DerivationTrace(tuple(enumerate(stages)))
@@ -319,7 +318,7 @@ def audit_axioms(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS) ->
     composites explicitly.
     """
     space = _CoverSpace(rel.carrier, max_covers)
-    _, rounds = _close(space, rel)
+    _, rounds = _close(space, rel, space.meet_id)
     buckets = {"C1": [], "C2": [], "C3": [], "C4": []}
     for found in rounds:
         for rule, pair in _round_pairs(space, found):
@@ -415,24 +414,9 @@ def witness_tree(m: CoveringMonoid, v: Cover):
     v = normalize(v, c)
     if not member(m, v, use_lambda=True):
         return None
-    top = c.top
-    if any(top <= t for t in v):
-        return NoetherianTree(top)
-    for b in m.basis:
-        if refines(b, v, c):
-            kids = tuple(NoetherianTree(p) for p in oc.sorted_members(b, c))
-            return NoetherianTree(top, kids)
-    order = list(m.basis)
-
-    def build(piece, i):
-        if any(piece <= t for t in v):
-            return NoetherianTree(piece)
-        assert i < len(order), "member() promised a refinement the tree lost"
-        pieces = restrict(order[i], piece, c)
-        kids = tuple(build(q, i + 1) for q in oc.sorted_members(pieces, c))
-        return NoetherianTree(piece, kids)
-
-    return build(top, 0)
+    # depth len(basis) suffices: meeting the basis covers in turn reaches their
+    # meet; an empty v is a member only on no points, where top is a leaf
+    return bounded_member(lazy_view(m), v or {c.top}, len(m.basis), start=c.top)
 
 
 def check_witness(m: CoveringMonoid, v: Cover, tree: NoetherianTree) -> bool:

@@ -6,18 +6,20 @@ closed under four rules: membership (a in U), divisibility (a*b |= {a}),
 products (a |= U and a |= V give a |= U*V), and transitivity (a |= U and
 u |= V for every u in U give a |= V).  Transitivity is the relational face
 of the locally fine closure, so the covers of the unit always form a
-locally fine monoid over the divisibility preorder.  Saturation runs on the
-semi-naive round kernel of the C1-C4 closure, ``covering._rounds``: the
-product rule plays the part of C3 and transitivity that of C4, and every
-judgment keeps the rule and premises that first derive it in naive order.
+locally fine monoid over the divisibility preorder.  Over that preorder
+a |= U holds exactly when rep(a) |= normalize(U) does, so entailment is the
+C1-C4 closure ``covering._close`` of the axioms with the normalized cover
+product as C3; proof trees join each such step to the raw judgments with
+divide, member and compose steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .carrier import Preorder, _bits, cover_key, subsets
-from .covering import CoveringMonoid, CoveringRelation, _rounds
+from .carrier import DEFAULT_MAX_COVERS, Preorder, _bits, normalize, subsets
+from .covering import CoveringMonoid, CoveringRelation, _close, _CoverSpace
 
 
 @dataclass(frozen=True)
@@ -97,60 +99,40 @@ class Derivation:
         return 1 + max(p.height() for p in self.premises)
 
 
+_RULES = {"C1": "member", "C2": "divide", "C3": "product", "C4": "compose"}
+
+
 def _saturate_judgments(p: FormalPresentation):
-    """All derivable judgments with the rule and premises that first derive
-    each one, in deterministic round order.
-
-    An element is its index in ``p.elements`` and a cover is a bitmask of
-    indices, so a cover's members are its own bits.  ``covering._rounds``
-    derives the judgments: the axiom, member and divide instances seed round
-    one, the cover product combines two covers of a subject, and compose is
-    transitivity; covers are visited in sorted-member order.  Each round's
-    judgments are inserted by subject, then cover, and their premises are
-    rebuilt from the stored covers.
+    """Every derivable judgment with a class-representative subject and a
+    normalized cover, mapped to the rule and premises that first derive it
+    (an axiom's premise is the first raw axiom of that form).  Raises
+    ``LimitExceededError`` past ``DEFAULT_MAX_COVERS`` normalized covers.
     """
-    names = p.elements
-    n = len(names)
-    full = 1 << n
-    index = {x: i for i, x in enumerate(names)}
-    members = [tuple(i for i in range(n) if m >> i & 1) for m in range(full)]
-    order = sorted(range(full), key=members.__getitem__)
-    mul = [[index[p.product(x, y)] for y in names] for x in names]
-    rows = [None] * full        # rows[c][m]: the cover c * m, built on demand
-    rows[0] = [0] * full
-    for i in range(n):
-        row = rows[1 << i] = [0] * full
-        for m in range(1, full):
-            low = m & -m
-            row[m] = row[m ^ low] | 1 << mul[i][low.bit_length() - 1]
+    pre = divisibility_preorder(p)
+    space = _CoverSpace(pre, DEFAULT_MAX_COVERS)
+    covers, subjects = space.covers, space.subjects
 
-    def product(c, m):
-        row = rows[c]
-        if row is None:
-            low = c & -c
-            product(c ^ low, 0)         # builds rows[c ^ low]
-            row = rows[c] = [x | y for x, y in zip(rows[c ^ low], rows[low])]
-        return row[m]
+    @cache
+    def product(i, j):
+        return space.cid[normalize(p.cover_product(covers[i], covers[j]), pre)]
 
-    seeds = [("axiom", sum(1 << index[x] for x in j.cover), 1 << index[j.subject])
-             for j in p.axioms]
-    seeds += [("member", m, m) for m in range(full)]
-    seeds += [("divide", 1 << a, sum(1 << x for x in set(mul[a]))) for a in range(n)]
     derived = {}
-    for found in _rounds([0] * full, seeds, product, range(full), order,
-                         ("product", "compose")):
-        batch = {(a, members[c]): (c, rule, covers)
-                 for rule, c, fresh, covers in found for a in _bits(fresh)}
-        for (a, _), (c, rule, covers) in sorted(batch.items()):
-            premises = tuple((a, q) for q in covers)
-            if rule == "compose":
-                premises += tuple((u, c) for u in members[covers[0]])
-            derived[a, c] = rule, premises
+    for j in p.axioms:
+        derived.setdefault(_canonical(pre, j), ("axiom", (j,)))
+    rel = CoveringRelation(pre, frozenset((j.subject, j.cover) for j in p.axioms))
+    for found in _close(space, rel, product)[1]:
+        for rule, c, fresh, premises in found:
+            for s in _bits(fresh):
+                steps = [(s, q) for q in premises]
+                if rule == "C4":
+                    steps += [(t, c) for t in space.member_sids[premises[0]]]
+                derived[Judgment(subjects[s], covers[c])] = _RULES[rule], tuple(
+                    Judgment(subjects[t], covers[q]) for t, q in steps)
+    return derived
 
-    cover_sets = [frozenset(names[i] for i in members[m]) for m in range(full)]
-    judgments = {k: Judgment(names[k[0]], cover_sets[k[1]]) for k in derived}
-    return {judgments[k]: (rule, tuple(judgments[q] for q in premises))
-            for k, (rule, premises) in derived.items()}
+
+def _canonical(pre: Preorder, j: Judgment) -> Judgment:
+    return Judgment(pre.rep(j.subject), normalize(j.cover, pre))
 
 
 def _checked(p: FormalPresentation, j: Judgment) -> Judgment:
@@ -163,39 +145,63 @@ def _checked(p: FormalPresentation, j: Judgment) -> Judgment:
 
 def entails(p: FormalPresentation, j: Judgment) -> bool:
     """Whether the judgment is derivable from the axioms by the four rules."""
-    return _checked(p, j) in _saturate_judgments(p)
+    return _canonical(divisibility_preorder(p), _checked(p, j)) in _saturate_judgments(p)
 
 
 def derivation(p: FormalPresentation, j: Judgment):
     """A proof tree for the judgment, or None when it is not derivable."""
     j = _checked(p, j)
+    pre = divisibility_preorder(p)
     derived = _saturate_judgments(p)
-    if j not in derived:
+    if _canonical(pre, j) not in derived:
         return None
 
+    def leaf(subject, cover, rule):
+        return Derivation(Judgment(subject, frozenset(cover)), rule)
+
+    def into(x, v):         # x below a member of v
+        if x in v:
+            return leaf(x, v, "member")
+        y = min(y for y in v if pre.le(x, y))
+        return Derivation(Judgment(x, v), "compose",
+                          (leaf(x, {y}, "divide"), leaf(y, v, "member")))
+
+    def join(d, goal):      # d's x |= U gives a |= V for a <= x, U refining V
+        x, u = d.conclusion.subject, d.conclusion.cover
+        if u != goal.cover:
+            d = Derivation(Judgment(x, goal.cover), "compose",
+                           (d, *(into(y, goal.cover) for y in sorted(u))))
+        if x != goal.subject:
+            d = Derivation(goal, "compose", (leaf(goal.subject, {x}, "divide"), d))
+        return d
+
+    @cache
     def build(goal):
         rule, premises = derived[goal]
-        return Derivation(goal, rule, tuple(build(q) for q in premises))
+        if rule == "axiom":
+            return join(Derivation(premises[0], "axiom"), goal)
+        kids = tuple(map(build, premises))
+        if rule == "product":
+            raw = p.cover_product(premises[0].cover, premises[1].cover)
+            return join(Derivation(Judgment(goal.subject, raw), "product", kids), goal)
+        return Derivation(goal, rule, kids)
 
-    return build(j)
+    return join(build(_canonical(pre, j)), j)
 
 
 def divisibility_preorder(p: FormalPresentation) -> Preorder:
-    """x <= a when x is a multiple of a; the unit is the top."""
-    edges = set()
-    for a in p.elements:
-        for b in p.elements:
-            edges.add((p.product(a, b), a))
-    return Preorder.from_edges(p.elements, edges, p.unit)
+    """x <= a when x is a multiple of a; the unit is the top.  The relation
+    needs no closure: a = a*1, and a multiple of a multiple of a is one."""
+    pairs = {(p.product(a, b), a) for a in p.elements for b in p.elements}
+    return Preorder(p.elements, pairs, p.unit)
 
 
 def covers_of_unit(p: FormalPresentation) -> CoveringMonoid:
     """The monoid of derivable covers of the unit, over divisibility."""
-    derived = _saturate_judgments(p)
     pre = divisibility_preorder(p)
-    basis = [j.cover for j in derived if j.subject == p.unit and j.cover]
-    basis.sort(key=lambda u: cover_key(frozenset(pre.rep(x) for x in u), pre))
-    return CoveringMonoid(pre, tuple(frozenset(u) for u in basis))
+    unit = pre.rep(p.unit)
+    basis = [j.cover for j in _saturate_judgments(p) if j.subject == unit and j.cover]
+    return CoveringMonoid(pre, tuple(basis))
 
 
 def to_covering_relation(p: FormalPresentation) -> CoveringRelation:
@@ -220,5 +226,8 @@ def to_covering_relation(p: FormalPresentation) -> CoveringRelation:
 
 def derivable_judgments(p: FormalPresentation):
     """All derivable judgments, sorted."""
-    return tuple(sorted(_saturate_judgments(p),
-                        key=lambda j: (j.subject, tuple(sorted(j.cover)))))
+    pre = divisibility_preorder(p)
+    derived = _saturate_judgments(p)
+    normal = [(u, normalize(u, pre)) for u in sorted(p.all_covers(), key=sorted)]
+    return tuple(Judgment(a, u) for a in p.elements for u, w in normal
+                 if Judgment(pre.rep(a), w) in derived)

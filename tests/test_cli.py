@@ -10,9 +10,11 @@ import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_formal import _assert_proof
 
 import locfine
 from locfine.cli import KINDS, emit_structure, main, parse_structure
+from locfine.formal import Derivation, Judgment
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -98,6 +100,27 @@ def test_coproduct_size_guard_exits_3_at_its_boundary(capsys):
     assert "Traceback" not in captured.err
     assert main(["--max-scan", "6"] + argv) == 0
     assert "coproduct frame: 6 elements" in capsys.readouterr().out
+
+
+def test_entail_past_the_cover_guard_exits_3(tmp_path, capsys):
+    """The null monoid on 15 elements: unit u, zero z, and 13 middle
+    elements whose products are all z, so divisibility has 2**13 + 2
+    normalized covers."""
+    middle = [f"m{i:02d}" for i in range(13)]
+    rest = middle + ["z"]
+    rows = ["kind formal", "elements " + " ".join(sorted(rest + ["u"])), "unit u"]
+    rows += [f"mul {x} {y} z" for x in rest for y in rest if x <= y]
+    path = tmp_path / "null15.cov"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["entail", str(path), "--judgment", "m01 {z}"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("limit exceeded: ") and captured.out.count("\n") == 1
+    assert "Traceback" not in captured.out + captured.err
+    assert main(["--json"] + argv) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"command", "error", "exit"}
+    assert payload["command"] == "entail" and payload["exit"] == 3
 
 
 def test_spatial_text_output(capsys):
@@ -269,7 +292,15 @@ def test_unknown_name_is_named_in_the_error(tmp_path, capsys):
     assert "unknown element" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("judgment,derivable", [("1 {0}", True), ("1 {}", False)])
+def _derivation_of(tree):
+    """A ``Derivation`` rebuilt from an ``entail --proof --json`` tree."""
+    subject, cover = tree["judgment"]
+    return Derivation(Judgment(subject, frozenset(cover)), tree["rule"],
+                      tuple(map(_derivation_of, tree["premises"])))
+
+
+@pytest.mark.parametrize("judgment,derivable",
+                         [("1 {0}", True), ("1 {}", False), ("b {0 c}", True)])
 def test_entail_proof_saturates_once(judgment, derivable, monkeypatch, capsys):
     from locfine import formal
     calls = []
@@ -286,6 +317,20 @@ def test_entail_proof_saturates_once(judgment, derivable, monkeypatch, capsys):
     assert f"derivable: {str(derivable).lower()}" in out
     assert ("proof:" in out) == derivable
     assert len(calls) == 1
+    # the --json proof is the same bytes under any hash seed, and checks
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locfine.__file__)))
+    runs = [subprocess.run([sys.executable, "-m", "locfine.cli", "--json", *argv],
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                           capture_output=True, text=True) for seed in ("0", "1")]
+    assert [r.returncode for r in runs] == [0 if derivable else 1] * 2
+    assert runs[0].stdout == runs[1].stdout
+    payload = json.loads(runs[0].stdout)
+    if derivable:
+        with open(fx("formal_meet.cov"), encoding="utf-8") as fh:
+            _, p = parse_structure(fh.read())
+        subject, cover = payload["judgment"]
+        _assert_proof(p, _derivation_of(payload["proof"]),
+                      Judgment(subject, frozenset(cover)))
 
 
 def test_game_strategy_json_round(capsys):

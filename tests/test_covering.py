@@ -354,7 +354,7 @@ class TestCloseMatchesReference:
             initial = _reference_initial(space, rel)
             present, stages, provenance = _reference_close(space, initial)
             names = lambda ids: f((space.subjects[si], space.covers[ci]) for si, ci in ids)
-            held, _ = _close(space, rel)
+            held, _ = _close(space, rel, space.meet_id)
             assert {(si, ci) for ci, mask in enumerate(held) for si in _bits(mask)} == present
             closed, trace = saturate(rel)
             assert closed.pairs == names(present)
@@ -404,8 +404,7 @@ class TestRoundsAreSemiNaive:
 
             before = [tuple(held)]          # the state before each round
             seeds = [("C1", ci, m) for ci, m in enumerate(members)]
-            for found in _rounds(held, seeds, combine, members, range(len(held)),
-                                 ("C3", "C4")):
+            for found in _rounds(held, seeds, combine, members):
                 state = list(before[-1])
                 for _, c, fresh, _ in found:
                     state[c] |= fresh
@@ -653,6 +652,12 @@ class TestWitness:
                 assert (t is not None) == member(m, v)
                 if t is not None:
                     assert check_witness(m, v, t)
+
+    def test_no_points_give_the_empty_top_as_a_leaf(self):
+        m = CoveringMonoid(SubsetCarrier([]), ())
+        t = witness_tree(m, f())
+        assert t is not None and t.children == () and t.node == f()
+        assert check_witness(m, f(), t)
 
     def test_preorder_carrier_rejected(self, c4_preorder):
         m = CoveringMonoid(c4_preorder, (f({"b", "c"}),))

@@ -1,6 +1,7 @@
 """Formal entailment: rules of inference, proof trees, covers of the unit."""
 
 import os
+import time
 
 import pytest
 from test_acceptance import _commutative_monoids_up_to
@@ -8,7 +9,8 @@ from test_carrier import _doubling_subsets
 
 from locfine.carrier import normalize
 from locfine.cli import parse_structure
-from locfine.covering import is_locally_fine, member, saturate
+from locfine.covering import CoveringMonoid, is_locally_fine, member, saturate
+from locfine.errors import LimitExceededError
 from locfine.formal import (
     Derivation,
     FormalPresentation,
@@ -27,8 +29,8 @@ FORMAL_MEET = os.path.join(os.path.dirname(__file__), "fixtures", "formal_meet.c
 
 
 def _reference_saturate(p: FormalPresentation):
-    """The naive saturation: every round re-runs every rule over the whole
-    derived set.  The kernel must return exactly this dict, order included."""
+    """The naive saturation over every raw judgment: every round re-runs
+    every rule over the whole derived set."""
     derived = {}
 
     def jkey(j):
@@ -89,6 +91,14 @@ def _presentations(n_max, with_axiom):
             for u in base.all_covers():
                 yield FormalPresentation(elems, unit, table, (Judgment(a, u),))
 
+
+
+def _monoid(n, product, axioms=()):
+    """The commutative monoid on e00 .. e{n-1} whose product of ei and ej is
+    e{product(i, j)}, with unit e00."""
+    names = [f"e{i:02d}" for i in range(n)]
+    mul = {(names[a], names[b]): names[product(a, b)] for a in range(n) for b in range(n)}
+    return FormalPresentation(tuple(names), names[0], mul, axioms)
 
 
 @pytest.fixture
@@ -164,6 +174,13 @@ class TestEntails:
     def test_unknown_elements_rejected(self, rule4_fixture):
         with pytest.raises(ValueError):
             entails(rule4_fixture, Judgment("q", f({"b"})))
+
+    def test_null_monoid_of_15_exceeds_the_guard(self):
+        """Its 13 middle elements are pairwise incomparable, so divisibility
+        has 2**13 + 2 normalized covers, past the default guard."""
+        p = _monoid(15, lambda a, b: b if a == 0 else a if b == 0 else 14)
+        with pytest.raises(LimitExceededError):
+            entails(p, Judgment("e01", f({"e14"})))
 
     def test_empty_covers_agree_with_relational_engine(self):
         checked = 0
@@ -287,6 +304,21 @@ class TestCrossEngine:
                     assert Judgment(j.subject, v) in derived
 
 
+@pytest.mark.parametrize("n", [12, 16])
+def test_max_semilattice_answers_with_a_checked_proof(n):
+    """Divisibility on a max semilattice is a chain: n + 1 normalized covers
+    stand for 2**n subsets.  The axioms cover the unit by the bottom, so
+    only empty covers stay underivable."""
+    axioms = (Judgment("e00", f({"e03", "e05"})), Judgment("e03", f({f"e{n - 1}"})))
+    p = _monoid(n, max, axioms)
+    j = Judgment("e00", f({"e05", f"e{n - 1}"}))
+    start = time.perf_counter()
+    assert entails(p, j)
+    _assert_proof(p, derivation(p, j), j)
+    assert not entails(p, Judgment("e00", f()))
+    assert time.perf_counter() - start < 1
+
+
 def test_divisibility_preorder_has_unit_top(rule4_fixture):
     pre = divisibility_preorder(rule4_fixture)
     assert pre.top == "1"
@@ -294,15 +326,55 @@ def test_divisibility_preorder_has_unit_top(rule4_fixture):
     assert not pre.le("b", "c")
 
 
+def _assert_proof(p, proof, goal):
+    """The proof concludes the goal, and every step applies one of the five
+    formal rules: axiom, member, divide, product or compose."""
+    assert proof.conclusion == goal
+    seen, stack = set(), [proof]
+    while stack:
+        d = stack.pop()
+        if id(d) in seen:
+            continue
+        seen.add(id(d))
+        j, got = d.conclusion, tuple(q.conclusion for q in d.premises)
+        if d.rule == "axiom":
+            ok = not got and j in p.axioms
+        elif d.rule == "member":
+            ok = not got and j.subject in j.cover
+        elif d.rule == "divide":
+            ok = (not got and len(j.cover) == 1
+                  and any(p.product(a, b) == j.subject for a in j.cover for b in p.elements))
+        elif d.rule == "product":
+            ok = (len(got) == 2 and all(q.subject == j.subject for q in got)
+                  and p.cover_product(got[0].cover, got[1].cover) == j.cover)
+        elif d.rule == "compose":
+            ok = (bool(got) and got[0].subject == j.subject
+                  and set(got[1:]) == {Judgment(u, j.cover) for u in got[0].cover})
+        else:
+            ok = False
+        assert ok, f"invalid {d.rule} step concluding {j}"
+        stack.extend(d.premises)
+
+
 class TestKernelMatchesReference:
-    """The semi-naive kernel returns the naive saturation's dict: the same
-    judgments, rules and premises, in the same insertion order."""
+    """The closure over normalized covers of divisibility answers the naive
+    saturation: every verdict, ``derivable_judgments`` and ``covers_of_unit``
+    agree with it, and every proof uses only the five formal rules."""
 
     @staticmethod
     def _assert_same(p):
-        got = list(_saturate_judgments(p).items())
-        assert got == list(_reference_saturate(p).items()), \
-            (p.elements, p.mul, p.axioms)
+        want = _reference_saturate(p)
+        where = (p.elements, p.mul, p.axioms)
+        for a in p.elements:
+            for u in p.all_covers():
+                j = Judgment(a, u)
+                assert entails(p, j) == (j in want), (where, j)
+                if j in want:
+                    _assert_proof(p, derivation(p, j), j)
+        assert derivable_judgments(p) == tuple(
+            sorted(want, key=lambda j: (j.subject, tuple(sorted(j.cover))))), where
+        unit_covers = tuple(j.cover for j in want if j.subject == p.unit and j.cover)
+        assert covers_of_unit(p) == CoveringMonoid(divisibility_preorder(p), unit_covers), where
 
     def test_bare_monoids_up_to_4(self):
         for p in _presentations(4, with_axiom=False):
