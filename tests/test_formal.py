@@ -15,7 +15,6 @@ from locfine.formal import (
     Derivation,
     FormalPresentation,
     Judgment,
-    _saturate_judgments,
     covers_of_unit,
     derivable_judgments,
     derivation,
