@@ -15,18 +15,17 @@ Two closure engines live here:
   meet-combination of basis covers.  The two coincide exactly when the basis
   is meet-directed, which is what ``is_locally_fine`` reports.
 
-``rank`` measures how many combination stages the closure needs: stage d
-membership is witnessed by Noetherian trees of depth at most d + 1 whose
-node covers are restrictions of basis covers (``witness_tree`` builds such a
-tree, ``bounded_member`` searches for one under a caller-supplied lazy
-enumeration).
+One memoised least-rank search, ``_least_ranks``, finds the least depth of
+a Noetherian tree whose node covers are traces of basis covers.  It answers
+``rank`` (stage d of the closure holds what such trees of depth d + 1
+witness), ``witness_tree``, ``bounded_member`` and the game's ``solve``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
 
 from . import carrier as oc
 from .carrier import (
@@ -166,7 +165,7 @@ class _CoverSpace:
         under = self.under = [sum(1 << i for i, a in enumerate(self.subjects)
                                   if carrier.le(a, s)) for s in self.subjects]
         empty = 1 << self.sid[frozenset()] if isinstance(carrier, SubsetCarrier) else 0
-        self.down = [reduce(or_, map(under.__getitem__, m), 0) & ~empty
+        self.down = [reduce(operator.or_, map(under.__getitem__, m), 0) & ~empty
                      for m in self.member_sids]
         self.did = {d: i for i, d in enumerate(self.down)}
 
@@ -387,36 +386,96 @@ def is_locally_fine(m: CoveringMonoid) -> bool:
     return any(refines(b, target, m.carrier) for b in m.basis)
 
 
+def _least_ranks(covers_of, targets, le, budget, starts, key=None):
+    """Least ranks of Noetherian trees from each start within a budget:
+    (ranks, moves) of the pieces whose rank the search fixed.  A piece ``le``
+    a target has rank 0, any other 1 + the largest rank in its move, the first
+    least-rank trace of ``covers_of(piece)`` (the least by ``key`` among them).
+    A trace holding the piece itself never lowers its rank and is skipped.  An
+    exact rank answers every budget, a failure within b every budget up to b."""
+    ranks, moves, failed = {}, {}, {}
+
+    def search(piece, budget):
+        r = ranks.get(piece)
+        if r is not None:
+            return r if r <= budget else None
+        if failed.get(piece, -1) >= budget:
+            return None
+        if any(le(piece, t) for t in targets):
+            ranks[piece] = 0
+            return 0
+        move, cap = None, budget - 1
+        for tr in covers_of(piece) if budget else ():
+            if piece in tr:
+                continue
+            depth = 1
+            for q in tr:
+                r = search(q, cap)
+                if r is None:
+                    break
+                if r >= depth:
+                    depth = r + 1
+            else:
+                if move is None or depth < budget:
+                    # without a key only a lower rank displaces the first move
+                    budget, move, cap = depth, tr, depth - 1 if key else depth - 2
+                elif key(tr) < key(move):
+                    move = tr
+        if move is None:
+            failed[piece] = budget
+            return None
+        ranks[piece], moves[piece] = budget, move
+        return budget
+
+    for p in starts:
+        search(p, budget)
+    del search      # a self-reference: unbinding it frees the memo on return, not at GC
+    return ranks, moves
+
+
+def _unwind(piece, moves, order):
+    """The tree ``moves`` trace out from a piece; a piece without one is a leaf."""
+    move = moves.get(piece)
+    if move is None:
+        return NoetherianTree(piece)
+    return NoetherianTree(piece, tuple(_unwind(q, moves, order) for q in order(move)))
+
+
+def _game_ranks(m: CoveringMonoid, target: Cover, starts):
+    """The game's least ranks and moves: leaves lie inside a target member,
+    ties go to the least trace by ``cover_key``, and |basis| moves suffice."""
+    c = m.carrier    # the pieces are its own, so restrict's checks are skipped
+    return _least_ranks(lambda p: [c.maximal({x & p for x in b}) for b in m.basis],
+                        target, operator.le, len(m.basis), starts,
+                        key=lambda u: cover_key(u, c))
+
+
 def rank(m: CoveringMonoid) -> int:
     """Least stage at which the derivative sequence stabilizes (0 when the
-    monoid is already locally fine): one less than the depth of the
-    shallowest Noetherian tree witnessing the meet of the basis."""
+    monoid is already locally fine): one less than the least rank of a
+    Noetherian tree witnessing the meet of the basis."""
     c = m.carrier
-    tree = bounded_member(lazy_view(m), global_meet(m), len(m.basis) + 1,
-                          start=c.top, le=c.le)
-    if tree is None:
+    ranks, _ = _least_ranks(lazy_view(m), global_meet(m), c.le, len(m.basis) + 1, [c.top])
+    if c.top not in ranks:
         if is_locally_fine(m):
             return 0
         raise LocfineError("derivative sequence failed to stabilize")
-    return max(tree.depth() - 1, 0)
+    return max(ranks[c.top] - 1, 0)
 
 
 def witness_tree(m: CoveringMonoid, v: Cover):
-    """A Noetherian tree establishing membership of v in the closure.
-
-    Root is the top piece; the children of each internal node are the trace
-    of a basis cover on that node; the leaves refine v.  Returns None when
-    v is not a member.
-    """
+    """A Noetherian tree establishing membership of v in the closure, or None
+    when v is not a member: rooted at top, the children of a node are the
+    trace of a basis cover on it, and the leaves refine v.  It is the tree
+    that ``solve``'s strategy for the game on v unwinds to."""
     c = m.carrier
     if not isinstance(c, SubsetCarrier):
         raise CarrierMismatchError("witness trees are built over subset carriers")
     v = normalize(v, c)
     if not member(m, v, use_lambda=True):
         return None
-    # depth len(basis) suffices: meeting the basis covers in turn reaches their
-    # meet; an empty v is a member only on no points, where top is a leaf
-    return bounded_member(lazy_view(m), v or {c.top}, len(m.basis), start=c.top)
+    _, moves = _game_ranks(m, v, [c.top])
+    return _unwind(c.top, moves, lambda u: oc.sorted_members(u, c))
 
 
 def check_witness(m: CoveringMonoid, v: Cover, tree: NoetherianTree) -> bool:
@@ -447,47 +506,12 @@ def bounded_member(covers_of, v, depth: int, *, start, le=None):
 
     ``covers_of(piece)`` yields finitely many covers (iterables of pieces) of
     the piece; ``le`` compares pieces (subset containment by default).
-    Returns a tree when one of depth <= depth exists, else None; a None
-    answer carries no negative information.
+    Returns a tree of least depth when one of depth <= depth exists, else
+    None; a None answer carries no negative information.
     """
-    if le is None:
-        le = lambda a, b: a <= b
-    targets = list(v)
-    memo = {}
-
-    def attempt(piece, d):
-        key = (piece, d)
-        if key in memo:
-            return memo[key]
-        if any(le(piece, t) for t in targets):
-            out = NoetherianTree(piece)
-            memo[key] = out
-            return out
-        if d == 0:
-            memo[key] = None
-            return None
-        for cov in covers_of(piece):
-            kids = []
-            ok = True
-            for q in cov:
-                sub = attempt(q, d - 1)
-                if sub is None:
-                    ok = False
-                    break
-                kids.append(sub)
-            if ok:
-                out = NoetherianTree(piece, tuple(kids))
-                memo[key] = out
-                return out
-        memo[key] = None
-        return None
-
-    for d in range(depth + 1):
-        memo.clear()
-        got = attempt(start, d)
-        if got is not None:
-            return got
-    return None
+    ranks, moves = _least_ranks(lambda p: map(tuple, covers_of(p)), list(v),
+                                le or operator.le, depth, [start])
+    return _unwind(start, moves, iter) if start in ranks else None
 
 
 def lazy_view(m: CoveringMonoid):
@@ -495,12 +519,10 @@ def lazy_view(m: CoveringMonoid):
     c = m.carrier
 
     def covers_of(piece):
-        out = []
         for b in m.basis:
             tr = meet_cover(b, frozenset([piece]), c)
             if tr:
-                out.append(oc.sorted_members(tr, c))
-        return out
+                yield oc.sorted_members(tr, c)
 
     return covers_of
 

@@ -74,6 +74,7 @@ class FormalPresentation:
                 raise ValueError(f"axiom mentions unknown elements: {j}")
             ax.append(Judgment(j.subject, frozenset(j.cover)))
         object.__setattr__(self, "axioms", tuple(ax))
+        object.__setattr__(self, "_divisibility", divisibility_preorder(self))
 
     def product(self, a, b):
         return self.mul[(a, b)]
@@ -108,7 +109,7 @@ def _saturate_judgments(p: FormalPresentation):
     (an axiom's premise is the first raw axiom of that form).  Raises
     ``LimitExceededError`` past ``DEFAULT_MAX_COVERS`` normalized covers.
     """
-    pre = divisibility_preorder(p)
+    pre = p._divisibility
     space = _CoverSpace(pre, DEFAULT_MAX_COVERS)
     covers, subjects = space.covers, space.subjects
 
@@ -145,13 +146,13 @@ def _checked(p: FormalPresentation, j: Judgment) -> Judgment:
 
 def entails(p: FormalPresentation, j: Judgment) -> bool:
     """Whether the judgment is derivable from the axioms by the four rules."""
-    return _canonical(divisibility_preorder(p), _checked(p, j)) in _saturate_judgments(p)
+    return _canonical(p._divisibility, _checked(p, j)) in _saturate_judgments(p)
 
 
 def derivation(p: FormalPresentation, j: Judgment):
     """A proof tree for the judgment, or None when it is not derivable."""
     j = _checked(p, j)
-    pre = divisibility_preorder(p)
+    pre = p._divisibility
     derived = _saturate_judgments(p)
     if _canonical(pre, j) not in derived:
         return None
@@ -198,7 +199,7 @@ def divisibility_preorder(p: FormalPresentation) -> Preorder:
 
 def covers_of_unit(p: FormalPresentation) -> CoveringMonoid:
     """The monoid of derivable covers of the unit, over divisibility."""
-    pre = divisibility_preorder(p)
+    pre = p._divisibility
     unit = pre.rep(p.unit)
     basis = [j.cover for j in _saturate_judgments(p) if j.subject == unit and j.cover]
     return CoveringMonoid(pre, tuple(basis))
@@ -213,7 +214,7 @@ def to_covering_relation(p: FormalPresentation) -> CoveringRelation:
     these pairs are exactly what lets C3 plus transitivity recover the
     product rule.
     """
-    pre = divisibility_preorder(p)
+    pre = p._divisibility
     pairs = {(j.subject, j.cover) for j in p.axioms}
     for a in p.elements:
         for b in p.elements:
@@ -226,7 +227,7 @@ def to_covering_relation(p: FormalPresentation) -> CoveringRelation:
 
 def derivable_judgments(p: FormalPresentation):
     """All derivable judgments, sorted."""
-    pre = divisibility_preorder(p)
+    pre = p._divisibility
     derived = _saturate_judgments(p)
     normal = [(u, normalize(u, pre)) for u in sorted(p.all_covers(), key=sorted)]
     return tuple(Judgment(a, u) for a in p.elements for u, w in normal

@@ -4,10 +4,10 @@ Player I repeatedly plays a monoid cover restricted to the current piece;
 Player II selects a member not inside any target member.  Player II wins
 infinite plays, so Player I's winning region is a least fixpoint: a piece
 wins at rank 0 when it sits inside a target member, and at rank k+1 when
-some basis cover traces on it to pieces of rank at most k.  A useful trace
-on a piece consists of strict subsets of it, so one pass over the pieces by
-size reaches the fixpoint.  The stationary strategy plays, at each winning
-piece, the least trace of least rank.
+some basis cover traces on it to pieces of rank at most k.  ``solve`` reads
+the region, the ranks and the moves (the least trace by ``cover_key`` of
+least rank) off ``covering``'s least-rank search, which also builds witness
+trees: by Theorem 6 a witness tree is a winning strategy unwound.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import enum
 from dataclasses import dataclass
 
 from . import carrier as oc
-from .carrier import SubsetCarrier, cover_key, normalize, restrict
-from .covering import CoveringMonoid, NoetherianTree, member
+from .carrier import SubsetCarrier, normalize, refines, restrict
+from .covering import CoveringMonoid, NoetherianTree, _game_ranks, _unwind, global_meet
 from .errors import CarrierMismatchError, NoStrategyError
 
 
@@ -61,29 +61,9 @@ def _dominated(piece, target):
 
 
 def solve(g: GameSpec) -> GameResult:
-    """Compute Player I's winning region and, if the start is in it, a
-    stationary winning strategy.
-
-    One pass over the pieces in size order suffices: the trace of a basis
-    cover on a piece p is either {p}, which can never help, or made only of
-    strict subsets of p, whose ranks are already final.  So each rank, and
-    the least move reaching it, is final when it is assigned.
-    """
-    c = g.monoid.carrier
-    ranks = {}
-    moves = {}
-    for p in c.elements():
-        if _dominated(p, g.target):
-            ranks[p] = 0
-            continue
-        options = []
-        for b in g.monoid.basis:
-            tr = restrict(b, p, c)
-            if all(q in ranks for q in tr):
-                depth = 1 + max((ranks[q] for q in tr), default=0)
-                options.append((depth, cover_key(tr, c), tr))
-        if options:
-            ranks[p], _, moves[p] = min(options)
+    """Player I's winning region and, if the start is in it, a stationary
+    winning strategy: the least-rank search run from every piece."""
+    ranks, moves = _game_ranks(g.monoid, g.target, g.monoid.carrier.elements())
     winning = frozenset(ranks)
     if g.start not in winning:
         return GameResult(Player.II, winning)
@@ -130,19 +110,14 @@ def replay(g: GameSpec, strategy: Strategy):
 def unwind_strategy(g: GameSpec, strategy: Strategy) -> NoetherianTree:
     """The Noetherian tree a winning strategy traces out."""
     c = g.monoid.carrier
-
-    def build(piece):
-        if _dominated(piece, g.target):
-            return NoetherianTree(piece)
-        cover = strategy.moves[piece]
-        return NoetherianTree(
-            piece, tuple(build(q) for q in oc.sorted_members(cover, c)))
-
-    return build(g.start)
+    return _unwind(g.start, strategy.moves, lambda u: oc.sorted_members(u, c))
 
 
 def theorem6_check(m: CoveringMonoid, v: frozenset) -> bool:
-    """Whether the game verdict for v coincides with closure membership."""
+    """Theorem 6 at every piece: Player I wins from p exactly when the meet of
+    the basis restricts on p to a refinement of v (at top: closure membership)."""
     g = GameSpec(m, v)
-    wins = solve(g).winner is Player.I
-    return wins == member(m, v, use_lambda=True)
+    c, meet = m.carrier, global_meet(m)
+    closed_form = frozenset(p for p in c.elements()
+                            if refines(restrict(meet, p, c), g.target, c))
+    return solve(g).winning_set == closed_form

@@ -11,7 +11,8 @@ from locfine.carrier import (
     fold_meet,
     restrict,
 )
-from locfine.covering import CoveringMonoid, check_witness, member, rank
+from locfine import game
+from locfine.covering import CoveringMonoid, check_witness, global_meet, member, rank, witness_tree
 from locfine.errors import NoStrategyError
 from locfine.game import (
     GameResult,
@@ -24,6 +25,7 @@ from locfine.game import (
     theorem6_check,
     unwind_strategy,
 )
+from test_acceptance import CORPUS, _all_small_monoids, random_monoid
 
 f = frozenset
 
@@ -303,3 +305,66 @@ def test_solve_matches_sweep_until_stable_reference():
     # the corpus reaches both winners, empty targets, non-top starts and
     # strategies that move again after their first move
     assert all(seen.values()), seen
+
+
+class TestTheorem6EveryPiece:
+    """``theorem6_check`` compares the whole winning region with the closed
+    form: p wins exactly when the meet of the basis restricts on p to a
+    refinement of the target."""
+
+    def test_exhaustive_on_one_to_three_points(self):
+        # the corpus of test_theorem6_per_cover
+        checked = 0
+        for pts in (["0"], ["0", "1"], ["0", "1", "2"]):
+            c, monoids = _all_small_monoids(pts, max_basis=2)
+            for m in monoids:
+                for v in all_canonical_covers(c):
+                    assert theorem6_check(m, v), (m, v)
+                    checked += 1
+        assert checked == 2 * 2 + 4 * 5 + 46 * 19
+
+    def test_seeded_on_four_to_seven_points(self):
+        sizes = set()
+        for g in _random_games(67, 300):
+            n = len(g.monoid.carrier.points)
+            if 4 <= n <= 7:
+                assert theorem6_check(g.monoid, g.target), g
+                sizes.add(n)
+        assert sizes == {4, 5, 6, 7}
+
+    def test_a_region_wrong_off_the_start_is_caught(self, c3, monkeypatch):
+        m = CoveringMonoid(c3, (cov("01", "2"), cov("0", "12")))
+        v = cov("0", "1", "2")
+        assert theorem6_check(m, v)
+        right = solve(GameSpec(m, v))
+        lost = f({"0", "1"})
+        assert lost in right.winning_set and right.winner is Player.I
+        monkeypatch.setattr(game, "solve", lambda g: GameResult(
+            right.winner, right.winning_set - {lost}, right.strategy))
+        assert not theorem6_check(m, v)
+
+
+class TestOneSearch:
+    """``solve``, ``witness_tree`` and ``rank`` read one least-rank search."""
+
+    def test_witness_tree_is_the_unwound_strategy(self):
+        games = [GameSpec(m, v) for pts in (["0", "1"], ["0", "1", "2"])
+                 for c, monoids in [_all_small_monoids(pts, max_basis=2)]
+                 for m in monoids for v in all_canonical_covers(c)]
+        games += [GameSpec(g.monoid, g.target) for g in _random_games(41, 400)]
+        compared = 0
+        for g in games:
+            if not member(g.monoid, g.target):
+                assert witness_tree(g.monoid, g.target) is None
+                continue
+            res = solve(g)
+            assert witness_tree(g.monoid, g.target) == unwind_strategy(g, res.strategy)
+            compared += 1
+        assert compared == 475
+
+    def test_rank_is_the_unwound_depth_less_one(self):
+        corpus = CORPUS + [random_monoid(random.Random(5000 + i)) for i in range(1500)]
+        for m in corpus:
+            g = GameSpec(m, global_meet(m))
+            tree = unwind_strategy(g, solve(g).strategy)
+            assert rank(m) == max(tree.depth() - 1, 0), m
