@@ -1,14 +1,12 @@
 """Finite carriers and the combinatorics of covers.
 
-A carrier is a finite pre-ordered universe of pieces with a top element and a
-meet structure.  Two kinds are provided:
+A carrier is a finite pre-ordered universe of pieces with a top element.
+Two kinds are provided:
 
 * ``SubsetCarrier`` -- the pieces are all subsets of a finite point set,
-  ordered by inclusion, with intersection as meet.  Pieces are ``frozenset``
-  instances of point names.
+  ordered by inclusion.  Pieces are ``frozenset`` instances of point names.
 * ``Preorder`` -- an abstract finite preorder given by an explicit relation,
-  with a unique top.  Pieces are opaque string ids; the meet of two pieces is
-  the set of maximal common lower bounds.
+  with a unique top.  Pieces are opaque string ids.
 
 A *cover* is a finite set of pieces, represented as a ``frozenset``.  Covers
 are compared by the refinement preorder (``u`` refines ``v`` when every member
@@ -17,11 +15,16 @@ no duplicates, no empty member on a subset carrier, only maximal members, and
 on preorders one representative per equivalence class of mutually comparable
 elements.  Normalized covers are canonical: two normalized covers refine each
 other exactly when they are equal, which is what makes the saturation engines
-terminate and memoise safely.
+terminate and memoise safely.  Each carrier computes the meet of two covers
+and the refinement test, unchecked: by intersections and containment, or on
+a preorder by the down-set masks D(u) of the covers.  ``meet_cover``,
+``refines`` and ``restrict`` check their arguments, then ask the carrier.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 
@@ -51,14 +54,18 @@ class SubsetCarrier:
     def le(self, a, b) -> bool:
         return a <= b
 
-    def meet2(self, a, b):
-        """Maximal common lower bounds of a pair (here: the intersection)."""
-        return [a & b]
+    def meet(self, u, v):
+        """The meet of two covers: their maximal pairwise intersections."""
+        return self.maximal({a & b for b in v for a in u})
+
+    def refines(self, u, v):
+        """Every nonempty member of u lies inside a member of v."""
+        return all(not a or any(a <= b for b in v) for a in u)
 
     def maximal(self, members):
         """The nonempty members not strictly inside another member."""
         return frozenset(m for m in members
-                         if m and not any(m < m2 for m2 in members))
+                         if m and not any(map(m.__lt__, members)))
 
     def key(self, e):
         return tuple(sorted(e))
@@ -129,9 +136,18 @@ class Preorder:
     def le(self, a, b) -> bool:
         return (self._up.get(a, 0) & self._bit.get(b, 0)) != 0
 
-    def meet2(self, a, b):
-        """Maximal common lower bounds, one per equivalence class."""
-        return self._maximal(self._down[a] & self._down[b] & self._reps)
+    def _down_of(self, u):
+        """D(u): the mask of the elements below a member of u."""
+        return reduce(operator.or_, map(self._down.__getitem__, u), 0)
+
+    def meet(self, u, v):
+        """The meet of two covers: the maximal class representatives in
+        D(u) & D(v), which is the union of the members' common down-sets."""
+        return self._maximal(self._down_of(u) & self._down_of(v) & self._reps)
+
+    def refines(self, u, v):
+        """Every member of u lies below a member of v: D(u) is inside D(v)."""
+        return self._down_of(u) & ~self._down_of(v) == 0
 
     def maximal(self, members):
         """Of a set of class representatives, those with no other member
@@ -261,15 +277,9 @@ def refines(u: Cover, v: Cover, carrier) -> bool:
     An empty piece on a subset carrier refines vacuously, so refinement is
     invariant under normalization.
     """
-    for m in u:
+    for m in (*u, *v):
         carrier.check_element(m)
-    for m in v:
-        carrier.check_element(m)
-    empty_ok = isinstance(carrier, SubsetCarrier)
-    return all(
-        (empty_ok and not a) or any(carrier.le(a, b) for b in v)
-        for a in u
-    )
+    return carrier.refines(u, v)
 
 
 def mutually_refine(u: Cover, v: Cover, carrier) -> bool:
@@ -277,18 +287,13 @@ def mutually_refine(u: Cover, v: Cover, carrier) -> bool:
 
 
 def meet_cover(u: Cover, v: Cover, carrier) -> Cover:
-    """Greatest lower bound of two covers in the refinement preorder.
-
-    On a subset carrier this is the normalized cover of pairwise
-    intersections; on a preorder, the normalized set of maximal common lower
-    bounds taken over all member pairs.  Every member of both covers is
-    checked once, so an empty cover on either side still rejects a stranger
-    on the other.
+    """Greatest lower bound of two covers in the refinement preorder, from
+    ``carrier.meet`` once every member of both covers is checked, so an
+    empty cover on either side still rejects a stranger on the other.
     """
     for m in (*u, *v):
         carrier.check_element(m)
-    # meet2 answers class representatives, so only the maximal ones remain
-    return carrier.maximal({p for a in u for b in v for p in carrier.meet2(a, b)})
+    return carrier.meet(u, v)
 
 
 def fold_meet(covers: Iterable[Cover], carrier) -> Cover:
@@ -308,7 +313,7 @@ def restrict(u: Cover, a, carrier: SubsetCarrier) -> Cover:
     if not isinstance(carrier, SubsetCarrier):
         raise CarrierMismatchError("restrict is defined on subset carriers only")
     carrier.check_element(a)
-    return normalize((m & a for m in u), carrier)
+    return carrier.meet(u, (a,))
 
 
 def star(m, v: Cover) -> frozenset:

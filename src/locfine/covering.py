@@ -36,7 +36,6 @@ from .carrier import (
     all_canonical_covers,
     cover_key,
     fold_meet,
-    meet_cover,
     normalize,
     refines,
     restrict,
@@ -362,7 +361,7 @@ def _meet_stages(basis, carrier):
     stage = basis
     while stage:
         yield stage
-        new = {meet_cover(u, b, carrier) for u in stage for b in basis} - seen
+        new = {carrier.meet(u, b) for u in stage for b in basis} - seen
         stage = sorted(new, key=lambda c: cover_key(c, carrier))
         seen.update(stage)
     yield stage
@@ -419,7 +418,7 @@ def _least_ranks(covers_of, targets, le, budget, starts, key=None):
                 if move is None or depth < budget:
                     # without a key only a lower rank displaces the first move
                     budget, move, cap = depth, tr, depth - 1 if key else depth - 2
-                elif key(tr) < key(move):
+                elif key and key(tr) < key(move):
                     move = tr
         if move is None:
             failed[piece] = budget
@@ -445,9 +444,8 @@ def _game_ranks(m: CoveringMonoid, target: Cover, starts):
     """The game's least ranks and moves: leaves lie inside a target member,
     ties go to the least trace by ``cover_key``, and |basis| moves suffice."""
     c = m.carrier    # the pieces are its own, so restrict's checks are skipped
-    return _least_ranks(lambda p: [c.maximal({x & p for x in b}) for b in m.basis],
-                        target, operator.le, len(m.basis), starts,
-                        key=lambda u: cover_key(u, c))
+    return _least_ranks(lambda p: [c.meet(b, (p,)) for b in m.basis], target, c.le,
+                        len(m.basis), starts, key=lambda u: cover_key(u, c))
 
 
 def rank(m: CoveringMonoid) -> int:
@@ -520,7 +518,7 @@ def lazy_view(m: CoveringMonoid):
 
     def covers_of(piece):
         for b in m.basis:
-            tr = meet_cover(b, frozenset([piece]), c)
+            tr = c.meet(b, (piece,))
             if tr:
                 yield oc.sorted_members(tr, c)
 

@@ -219,7 +219,7 @@ def to_covering_relation(p: FormalPresentation) -> CoveringRelation:
     for a in p.elements:
         for b in p.elements:
             prod = p.product(a, b)
-            for m in pre.meet2(a, b):
+            for m in pre.meet((a,), (b,)):
                 if not pre.le(m, prod):
                     pairs.add((m, frozenset({prod})))
     return CoveringRelation(pre, frozenset(pairs))

@@ -95,13 +95,10 @@ def replay(g: GameSpec, strategy: Strategy):
             raise AssertionError("strategy replay exceeded the move budget")
         if _dominated(piece, g.target):
             return depth
-        cover = strategy.moves[piece]
-        longest = depth
-        for q in oc.sorted_members(cover, c):
-            if _dominated(q, g.target):
-                continue
-            longest = max(longest, play(q, depth + 1))
-        return longest
+        # the move counts also when it leaves Player II only dominated replies
+        replies = [depth + 1 if _dominated(q, g.target) else play(q, depth + 1)
+                   for q in oc.sorted_members(strategy.moves[piece], c)]
+        return max(replies, default=depth)
 
     deepest = play(g.start, 0)
     return frozenset(visited), deepest

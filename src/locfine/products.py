@@ -31,7 +31,6 @@ from .carrier import (
     antichains,
     cover_key,
     fold_meet,
-    meet_cover,
     normalize,
 )
 from .covering import (
@@ -274,7 +273,7 @@ def locale_from_cov(rel: CoveringRelation,
     # a localised rule depends on (x, V) alone, not on the generator g
     localised = dict.fromkeys((x, v) for (g, v) in rel.pairs
                               for x in reps if carrier.le(x, g))
-    rules += dict.fromkeys((x, meet_cover(v, frozenset([x]), carrier))
+    rules += dict.fromkeys((x, carrier.meet(v, (x,)))
                            for x, v in localised)
     locale, _ = _fold_locale(_Coverage(carrier, rules), max_covers, "generated locale")
     return locale

@@ -359,6 +359,10 @@ def _reference_meet_cover(u, v, carrier):
         [p for a in u for b in v for p in carrier.meet2(a, b)], carrier)
 
 
+def _reference_refines(u, v, carrier):
+    return all(any(carrier.le(a, b) for b in v) for a in u)
+
+
 def _least_failure(names, rel, top):
     """The message the checks give: the least intransitive triple, else the
     least element the top does not dominate."""
@@ -390,12 +394,13 @@ def _compare_with_reference(names, rel, top):
         assert p.rep(a) == ref.rep(a)
         for b in names:
             assert p.le(a, b) == ref.le(a, b)
-            assert set(p.meet2(a, b)) == set(ref.meet2(a, b)), (a, b)
+            assert p.meet((a,), (b,)) == set(ref.meet2(a, b)), (a, b)
     covers = [f(c) for k in range(3) for c in combinations(sorted(names), k)]
     for u in covers:
         assert normalize(u, p) == _reference_normalize(u, ref), u
         for v in covers:
             assert meet_cover(u, v, p) == _reference_meet_cover(u, v, ref), (u, v)
+            assert refines(u, v, p) == _reference_refines(u, v, ref), (u, v)
     return True
 
 

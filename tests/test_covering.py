@@ -797,6 +797,14 @@ class TestBoundedMember:
         assert bounded_member(lazy_view(m), v, 0, start=c3.top) is None
         assert bounded_member(lazy_view(m), v, 1, start=c3.top) is not None
 
+    def test_an_empty_cover_after_a_rank_one_cover_keeps_the_first(self):
+        # an empty trace is a rank-1 move at any depth; without a key only a
+        # lower rank displaces the first rank-1 move
+        covers = {"s": [["a"], []]}
+        t = bounded_member(lambda p: covers.get(p, []), ["a"], 2, start="s",
+                           le=lambda x, y: x == y)
+        assert t is not None and [ch.node for ch in t.children] == ["a"]
+
     def test_enumerator_errors_propagate(self, c3):
         def broken(piece):
             raise RuntimeError("enumerator failed")

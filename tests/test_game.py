@@ -120,6 +120,11 @@ class TestStrategy:
         assert visited <= res.winning_set
         assert depth <= 2
 
+    def test_a_one_move_win_replays_at_depth_one(self, c3):
+        u = cov("01", "12")
+        g = GameSpec(CoveringMonoid(c3, (u,)), u)
+        assert replay(g, solve(g).strategy)[1] == 1
+
     def test_replays_terminate_within_rank_bound(self, c3):
         rng = random.Random(31)
         covers = covering_covers(c3)
@@ -305,6 +310,17 @@ def test_solve_matches_sweep_until_stable_reference():
     # the corpus reaches both winners, empty targets, non-top starts and
     # strategies that move again after their first move
     assert all(seen.values()), seen
+
+
+def test_replay_depth_is_the_unwound_strategy_depth():
+    depths = []
+    for g in _random_games(41, 400):
+        res = solve(g)
+        if res.winner is Player.I:
+            _, depth = replay(g, res.strategy)
+            assert depth == unwind_strategy(g, res.strategy).depth(), g
+            depths.append(depth)
+    assert len(depths) == 231 and max(depths) >= 2
 
 
 class TestTheorem6EveryPiece:

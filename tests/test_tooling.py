@@ -6,6 +6,7 @@ import os
 import sys
 
 import locfine
+from locfine.carrier import Preorder, SubsetCarrier
 
 SRC = os.path.dirname(os.path.abspath(locfine.__file__))
 
@@ -54,3 +55,26 @@ def test_public_names_are_pinned():
     assert len(locfine.__all__) == len(set(locfine.__all__))
     assert set(locfine.__all__) == PUBLIC
     assert all(hasattr(locfine, name) for name in PUBLIC)
+
+
+# Both carriers answer the meet of two covers and the refinement test
+# themselves; every caller reaches them, and no pairwise meet is left.
+COVER_OPERATIONS = {"check_element", "is_element", "le", "rep", "key", "maximal",
+                    "meet", "refines", "elements", "class_reps"}
+
+
+def test_both_carriers_define_the_cover_operations():
+    for cls in (SubsetCarrier, Preorder):
+        missing = {n for n in COVER_OPERATIONS if not callable(vars(cls).get(n))}
+        assert missing == set(), cls
+
+
+def test_no_module_calls_a_pairwise_meet():
+    calls = []
+    for name in sorted(n for n in os.listdir(SRC) if n.endswith(".py")):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        calls += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "meet2"]
+    assert calls == []
