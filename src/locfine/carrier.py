@@ -80,6 +80,22 @@ class SubsetCarrier:
     def class_reps(self):
         return list(self.elements())
 
+    def _cover_masks(self, max_count):
+        """The subsets in key order, the empty one first, each one's subset mask,
+        and the antichains of the rest; past 2^n > ``max_count`` none is listed."""
+        if self.points and 2 ** len(self.points) > max_count:
+            raise LimitExceededError(
+                f"more than {max_count} canonical covers; raise the guard to proceed")
+        subjects = sorted(self.elements(), key=self.key)
+        every = (1 << len(subjects)) - 1
+        # a subset of e has no point outside e, a superset has every point of e
+        has = {x: sum(1 << j for j, e in enumerate(subjects) if x in e) for x in self.points}
+        under = [every & ~reduce(operator.or_, map(has.get, self.points - e), 0)
+                 for e in subjects]
+        comparable = [u | reduce(operator.and_, map(has.get, e), every)
+                      for e, u in zip(subjects, under)]
+        return subjects, under, _antichain_pass(comparable, under, every - 1, max_count)
+
     def __repr__(self):
         return f"SubsetCarrier({sorted(self.points)})"
 
@@ -170,6 +186,18 @@ class Preorder:
 
     def class_reps(self):
         return [self.elements_tuple[i] for i in _bits(self._reps)]
+
+    def _cover_masks(self, max_count):
+        """The class representatives, the masks of those below each, and their antichains."""
+        reps, subjects = self._reps, self.class_reps()
+        under = [self._down[s] & reps for s in subjects]
+        comparable = [(self._down[s] | self._up[s]) & reps for s in subjects]
+        if len(subjects) < len(self.elements_tuple):    # renumber over the representatives
+            pos = {i: j for j, i in enumerate(_bits(reps))}
+            under, comparable = ([sum(1 << pos[i] for i in _bits(m)) for m in masks]
+                                 for masks in (under, comparable))
+        every = (1 << len(subjects)) - 1
+        return subjects, under, _antichain_pass(comparable, under, every, max_count)
 
     def le_pairs(self):
         names = self.elements_tuple
@@ -336,45 +364,39 @@ def star_refines(v: Cover, u: Cover, carrier: SubsetCarrier) -> bool:
     return True
 
 
-def antichains(elements, le, max_count: int = DEFAULT_MAX_COVERS):
-    """All antichains of a finite poset of class representatives.
+def _antichain_pass(comparable, below, allowed, max_count):
+    """Every antichain of the elements in the mask ``allowed``, depth-first and
+    lowest index first, each step keeping ``allowed & ~comparable[i]``: so in
+    lexicographic order of member index, as (member mask, OR of ``below[i]``
+    over the members i, within ``allowed``).  The empty one comes first; past
+    ``max_count`` of them ``LimitExceededError`` is raised."""
+    out = [(0, 0)]
 
-    ``elements`` must hold at most one member of each class of mutually
-    below elements; the empty antichain is included.  Raises
-    ``LimitExceededError`` when the count would exceed ``max_count``.
-    """
-    elems = list(elements)
-    out = [frozenset()]
-
-    def extend(prefix, start):
-        for i in range(start, len(elems)):
-            e = elems[i]
-            if any(le(e, p) or le(p, e) for p in prefix):
-                continue
-            chosen = prefix + [e]
-            out.append(frozenset(chosen))
+    def extend(members, down, rest):
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            rest ^= 1 << i
+            out.append((members | 1 << i, down | below[i] & allowed))
             if len(out) > max_count:
                 raise LimitExceededError(
                     f"more than {max_count} canonical covers; raise the guard to proceed")
-            extend(chosen, i + 1)
+            extend(*out[-1], rest & ~comparable[i])
 
-    extend([], 0)
+    extend(0, 0, allowed)
     return out
 
 
-def all_canonical_covers(carrier, max_count: int = DEFAULT_MAX_COVERS):
-    """All normalized covers over a carrier, in deterministic order.  On n
-    points each subset alone is one, so past 2^n > ``max_count`` the guard
-    fires before any subset is listed."""
-    if isinstance(carrier, SubsetCarrier):
-        if carrier.points and 2 ** len(carrier.points) > max_count:
-            raise LimitExceededError(
-                f"more than {max_count} canonical covers; raise the guard to proceed")
-        reps = [e for e in carrier.class_reps() if e]
-    else:
-        reps = carrier.class_reps()
-    reps.sort(key=carrier.key)
-    chains = antichains(reps, carrier.le, max_count=max_count)
-    chains.sort(key=lambda c: cover_key(c, carrier))
-    return chains
+def antichains(elements, le, max_count: int = DEFAULT_MAX_COVERS):
+    """All antichains of a finite poset (one element per class at most), in
+    lexicographic order of position: the antichain pass over n^2 ``le`` calls."""
+    elems = list(elements)
+    comparable = [sum(1 << j for j, b in enumerate(elems) if le(a, b) or le(b, a))
+                  for a in elems]
+    chains = _antichain_pass(comparable, comparable, (1 << len(elems)) - 1, max_count)
+    return [frozenset(elems[i] for i in _bits(m)) for m, _ in chains]
 
+
+def all_canonical_covers(carrier, max_count: int = DEFAULT_MAX_COVERS):
+    """All normalized covers, in ``cover_key`` order, from the carrier's masks."""
+    subjects, _, chains = carrier._cover_masks(max_count)
+    return [frozenset(subjects[i] for i in _bits(m)) for m, _ in chains]

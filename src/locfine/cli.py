@@ -465,20 +465,20 @@ def _cmd_game(args, out):
             if key in pieces:
                 raise ParseError(f"pieces {_fmt_elem(pieces[key])} and {_fmt_elem(p)} "
                                  f"share the strategy key {key!r}")
-            pieces[key], moves[key] = p, _cover_json(u)
+            pieces[key], moves[key] = p, u
     winner = "I" if result.winner is Player.I else "II"
     out.put(command="game", file=args.file, winner=winner,
             winning=len(result.winning_set))
     out.say(f"winner: Player {winner}")
     out.say(f"winning pieces: {len(result.winning_set)}")
-    if args.strategy:
-        out.put(strategy=moves)
-        if moves is None:
-            out.say("strategy: none (Player II wins)")
-        else:
-            out.say("strategy:")
-            for p, u in plays:
-                out.say("  at " + _fmt_elem(p) + " play " + _fmt_cover(u, g.monoid.carrier))
+    if args.strategy and out.as_json:     # each form is built only when printed
+        out.put(strategy=moves and {key: _cover_json(u) for key, u in moves.items()})
+    elif args.strategy and plays is None:
+        out.say("strategy: none (Player II wins)")
+    elif args.strategy:
+        out.say("strategy:")
+        for p, u in plays:
+            out.say("  at " + _fmt_elem(p) + " play " + _fmt_cover(u, g.monoid.carrier))
     return 0
 
 
@@ -489,10 +489,10 @@ def _cmd_entail(args, out):
         raise ParseError("judgment must look like: subject {a b}")
     j = Judgment(_name(toks[0]), _set_literal(toks[1]))
     if args.proof:
-        d = derivation(p, j)  # None exactly when not derivable
+        d = derivation(p, j, max_covers=args.max_scan)  # None exactly when not derivable
         ok = d is not None
     else:
-        d, ok = None, entails(p, j)
+        d, ok = None, entails(p, j, max_covers=args.max_scan)
     out.put(command="entail", file=args.file,
             judgment=[j.subject, sorted(j.cover)], derivable=ok)
     out.say(f"derivable: {str(ok).lower()}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 
 from . import carrier as oc
 from .carrier import (
@@ -33,7 +32,6 @@ from .carrier import (
     Cover,
     SubsetCarrier,
     _bits,
-    all_canonical_covers,
     cover_key,
     fold_meet,
     normalize,
@@ -142,30 +140,27 @@ class NoetherianTree:
 # ---------------------------------------------------------------------------
 
 class _CoverSpace:
-    """Interned canonical covers over a carrier, each with its down-set mask.
+    """Canonical covers interned from the antichain pass over the carrier's masks.
 
-    ``under[s]`` masks the subject ids below subject s, and ``down[c]`` those
-    below a member of cover c (on a subset carrier only nonempty ones: no
-    normalized cover has an empty member).  ``meet_id(i, j)`` is the cover
-    whose mask is ``down[i] & down[j]``, exactly: over a finite carrier the
-    maximal common lower bounds of the member pairs of u and v have, together,
-    the down-closure D(u) & D(v), so the normalized meet is the set of maximal
-    elements of D(u) & D(v); and normalized covers, the antichains of class
-    representatives, correspond one to one to down-sets of representatives.
+    ``under[s]`` masks the subject ids below subject s, ``members[c]`` those
+    in cover c, and ``down[c]`` those below a member of cover c (on a subset
+    carrier only nonempty ones: no normalized cover has an empty member).
+    ``meet_id(i, j)`` is the cover whose mask is ``down[i] & down[j]``,
+    exactly: over a finite carrier the maximal common lower bounds of the
+    member pairs of u and v have, together, the down-closure D(u) & D(v), so
+    the normalized meet is the set of maximal elements of D(u) & D(v); and
+    normalized covers, the antichains of class representatives, correspond one
+    to one to down-sets of representatives.
     """
 
     def __init__(self, carrier, max_covers):
         self.carrier = carrier
-        self.covers = all_canonical_covers(carrier, max_count=max_covers)
-        self.cid = {c: i for i, c in enumerate(self.covers)}
-        self.subjects = sorted(carrier.class_reps(), key=carrier.key)
+        self.subjects, self.under, chains = carrier._cover_masks(max_covers)
         self.sid = {s: i for i, s in enumerate(self.subjects)}
-        self.member_sids = [frozenset(self.sid[m] for m in c) for c in self.covers]
-        under = self.under = [sum(1 << i for i, a in enumerate(self.subjects)
-                                  if carrier.le(a, s)) for s in self.subjects]
-        empty = 1 << self.sid[frozenset()] if isinstance(carrier, SubsetCarrier) else 0
-        self.down = [reduce(operator.or_, map(under.__getitem__, m), 0) & ~empty
-                     for m in self.member_sids]
+        self.members, self.down = zip(*chains)
+        self.member_sids = [frozenset(_bits(m)) for m in self.members]
+        self.covers = [frozenset(map(self.subjects.__getitem__, m)) for m in self.member_sids]
+        self.cid = {c: i for i, c in enumerate(self.covers)}
         self.did = {d: i for i, d in enumerate(self.down)}
 
     def meet_id(self, i, j):
@@ -236,20 +231,19 @@ def _close(space, rel, combine):
     The pairs are taken as ``CoveringRelation`` made them: class-
     representative subjects and normalized covers.  ``held[c]`` is the
     bitmask of the subject ids s with (s, c) derived.  C1 and C2 seed round
-    one; C3 combines covers i and j of a subject into ``combine(i, j)`` (the
-    meet ``space.meet_id``; for formal entailment the normalized product)
-    and C4 is transitivity, both run by ``_rounds``, whose rounds are
-    returned.  A new pair is credited to the first rule that proposes it, in
-    the order C1, C2, C3, C4.
+    one, C2 with the cover {b} less any empty piece; C3 combines covers i and
+    j of a subject into ``combine(i, j)`` (the meet ``space.meet_id``; for
+    formal entailment the normalized product) and C4 is transitivity, both
+    run by ``_rounds``.  A new pair is credited to the first rule that
+    proposes it, in the order C1, C2, C3, C4.
     """
-    members = [sum(1 << s for s in m) for m in space.member_sids]
     held = [0] * len(space.covers)
     for a, u in rel.pairs:
         held[space.cid[u]] |= 1 << space.sid[a]
-    seeds = [("C1", ci, m) for ci, m in enumerate(members)]
-    seeds += [("C2", space.cid[normalize([b], space.carrier)], under)
+    seeds = [("C1", ci, m) for ci, m in enumerate(space.members)]
+    seeds += [("C2", space.cid[frozenset([b]) - {frozenset()}], under)
               for b, under in zip(space.subjects, space.under)]
-    return held, _rounds(held, seeds, combine, members)
+    return held, _rounds(held, seeds, combine, space.members)
 
 
 def _round_pairs(space, found):
@@ -269,8 +263,9 @@ def saturate(rel: CoveringRelation, max_covers: int = DEFAULT_MAX_COVERS):
     _, rounds = _close(space, rel, space.meet_id)
     stages = [rel.pairs] + [frozenset(p for _, p in _round_pairs(space, found))
                             for found in rounds]
-    trace = DerivationTrace(tuple(enumerate(stages)))
-    return CoveringRelation(rel.carrier, frozenset().union(*stages)), trace
+    closed = object.__new__(CoveringRelation)   # canonical as built: no __post_init__
+    closed.__dict__.update(carrier=rel.carrier, pairs=frozenset().union(*stages))
+    return closed, DerivationTrace(tuple(enumerate(stages)))
 
 
 @dataclass(frozen=True)
@@ -416,10 +411,11 @@ def _least_ranks(covers_of, targets, le, budget, starts, key=None):
                     depth = r + 1
             else:
                 if move is None or depth < budget:
+                    budget, move, move_key = depth, tr, key and key(tr)
                     # without a key only a lower rank displaces the first move
-                    budget, move, cap = depth, tr, depth - 1 if key else depth - 2
-                elif key and key(tr) < key(move):
-                    move = tr
+                    cap = depth - 1 if key else depth - 2
+                elif key and (tr_key := key(tr)) < move_key:
+                    move, move_key = tr, tr_key
         if move is None:
             failed[piece] = budget
             return None
@@ -548,8 +544,7 @@ def fine_monoid(space: SpaceDescription,
     space.validate()
     c = SubsetCarrier(space.points)
     opens = sorted((o for o in space.opens if o), key=c.key)
-    covers = [anti for anti in oc.antichains(opens, lambda a, b: a <= b,
-                                             max_count=max_covers)
+    covers = [anti for anti in oc.antichains(opens, operator.le, max_count=max_covers)
               if frozenset().union(*anti) == space.points]
     if not space.points:
         covers = [frozenset()]

@@ -103,14 +103,14 @@ class Derivation:
 _RULES = {"C1": "member", "C2": "divide", "C3": "product", "C4": "compose"}
 
 
-def _saturate_judgments(p: FormalPresentation):
+def _saturate_judgments(p: FormalPresentation, max_covers: int = DEFAULT_MAX_COVERS):
     """Every derivable judgment with a class-representative subject and a
     normalized cover, mapped to the rule and premises that first derive it
     (an axiom's premise is the first raw axiom of that form).  Raises
-    ``LimitExceededError`` past ``DEFAULT_MAX_COVERS`` normalized covers.
+    ``LimitExceededError`` past ``max_covers`` normalized covers.
     """
     pre = p._divisibility
-    space = _CoverSpace(pre, DEFAULT_MAX_COVERS)
+    space = _CoverSpace(pre, max_covers)
     covers, subjects = space.covers, space.subjects
 
     @cache
@@ -132,6 +132,11 @@ def _saturate_judgments(p: FormalPresentation):
     return derived
 
 
+def _derived(p: FormalPresentation, max_covers: int):
+    """``_saturate_judgments``, called with ``p`` alone at the default guard."""
+    return _saturate_judgments(p, *([max_covers] if max_covers != DEFAULT_MAX_COVERS else []))
+
+
 def _canonical(pre: Preorder, j: Judgment) -> Judgment:
     return Judgment(pre.rep(j.subject), normalize(j.cover, pre))
 
@@ -144,16 +149,16 @@ def _checked(p: FormalPresentation, j: Judgment) -> Judgment:
     return Judgment(j.subject, frozenset(j.cover))
 
 
-def entails(p: FormalPresentation, j: Judgment) -> bool:
+def entails(p: FormalPresentation, j: Judgment, max_covers: int = DEFAULT_MAX_COVERS) -> bool:
     """Whether the judgment is derivable from the axioms by the four rules."""
-    return _canonical(p._divisibility, _checked(p, j)) in _saturate_judgments(p)
+    return _canonical(p._divisibility, _checked(p, j)) in _derived(p, max_covers)
 
 
-def derivation(p: FormalPresentation, j: Judgment):
+def derivation(p: FormalPresentation, j: Judgment, max_covers: int = DEFAULT_MAX_COVERS):
     """A proof tree for the judgment, or None when it is not derivable."""
     j = _checked(p, j)
     pre = p._divisibility
-    derived = _saturate_judgments(p)
+    derived = _derived(p, max_covers)
     if _canonical(pre, j) not in derived:
         return None
 

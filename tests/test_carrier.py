@@ -12,6 +12,7 @@ from locfine.carrier import (
     Preorder,
     SubsetCarrier,
     all_canonical_covers,
+    antichains,
     cover_key,
     fold_meet,
     meet_cover,
@@ -464,3 +465,85 @@ def test_the_cover_guard_is_exact_on_subset_carriers(n):
                 all_canonical_covers(carrier, max_count=max_count)
         else:
             assert len(all_canonical_covers(carrier, max_count=max_count)) == count
+
+
+def _reference_antichains(elements, le, max_count=5000):
+    """The former ``antichains``: a recursive search that asks ``le`` of each
+    candidate against the antichain built so far."""
+    elems = list(elements)
+    out = [f()]
+
+    def extend(prefix, start):
+        for i in range(start, len(elems)):
+            e = elems[i]
+            if any(le(e, p) or le(p, e) for p in prefix):
+                continue
+            chosen = prefix + [e]
+            out.append(f(chosen))
+            if len(out) > max_count:
+                raise LimitExceededError(
+                    f"more than {max_count} canonical covers; raise the guard to proceed")
+            extend(chosen, i + 1)
+
+    extend([], 0)
+    return out
+
+
+def _reference_canonical_covers(carrier, max_count=5000):
+    """The former ``all_canonical_covers``: the recursive search over the
+    nonempty class representatives, then a sort by ``cover_key``."""
+    reps = sorted((e for e in carrier.class_reps() if e), key=carrier.key)
+    return sorted(_reference_antichains(reps, carrier.le, max_count),
+                  key=lambda u: cover_key(u, carrier))
+
+
+def _small_posets():
+    """(elements, le) pairs: nonempty subsets of 0-4 points by inclusion,
+    chains, and the class representatives of seeded random preorders."""
+    out = []
+    for n in range(5):
+        c = SubsetCarrier("pqrs"[:n])
+        out.append((sorted((e for e in c.elements() if e), key=c.key), c.le))
+    for n in range(1, 5):
+        fr = chain_frame(n)
+        out.append((list(fr.elements), fr.le))
+    out += [(p.class_reps(), p.le) for p in _random_preorders()]
+    return out
+
+
+def _random_preorders():
+    """Seeded random preorders on 2-8 elements, most with a class of two or
+    more mutually below elements."""
+    rng = random.Random(26)
+    out = []
+    for size in range(2, 9):
+        names = "abcdefgh"[:size - 1] + "t"
+        edges = {(x, "t") for x in names}
+        edges |= {(x, y) for x in names for y in names if rng.random() < 0.1}
+        out.append(Preorder.from_edges(names, edges, "t"))
+    return out
+
+
+def test_antichains_match_the_recursive_reference_in_order():
+    """The mask pass lists antichains in lexicographic order of position,
+    as the recursive search did, and its guard fires at the same count."""
+    for elems, le in _small_posets():
+        expected = _reference_antichains(elems, le)
+        assert antichains(elems, le) == expected, elems
+        for max_count in (0, 1, len(expected) // 2, len(expected) - 1, len(expected)):
+            try:
+                want = _reference_antichains(elems, le, max_count)
+            except LimitExceededError as exc:
+                with pytest.raises(LimitExceededError, match=f"^{exc}$"):
+                    antichains(elems, le, max_count=max_count)
+            else:
+                assert antichains(elems, le, max_count=max_count) == want
+
+
+def test_canonical_covers_come_in_cover_key_order_without_a_sort():
+    """Over subjects in key order the antichains' lexicographic order is
+    ``cover_key`` order, so the list equals the sorted reference."""
+    for carrier in [SubsetCarrier("pqrs"[:n]) for n in range(5)] + _random_preorders():
+        covers = all_canonical_covers(carrier)
+        assert covers == _reference_canonical_covers(carrier), carrier
+        assert covers == sorted(covers, key=lambda u: cover_key(u, carrier))

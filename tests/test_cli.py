@@ -123,6 +123,34 @@ def test_entail_past_the_cover_guard_exits_3(tmp_path, capsys):
     assert payload["command"] == "entail" and payload["exit"] == 3
 
 
+@pytest.mark.parametrize("proof", [[], ["--proof"]])
+def test_entail_reads_the_scan_guard(proof, capsys):
+    """formal_meet's divisibility preorder has 6 normalized covers, so one
+    fewer as --max-scan exits 3 and 6 answers."""
+    argv = ["entail", fx("formal_meet.cov"), "--judgment", "1 {0}", *proof]
+    assert main(["--max-scan", "5"] + argv) == 3
+    assert capsys.readouterr().out == (
+        "limit exceeded: more than 5 canonical covers; raise the guard to proceed\n")
+    assert main(["--max-scan", "6"] + argv) == 0
+    assert capsys.readouterr().out.startswith("derivable: true\n")
+
+
+def test_game_strategy_builds_only_the_printed_form(monkeypatch, capsys):
+    from locfine import cli
+
+    def unused(*args):
+        raise AssertionError("built a strategy form that is not printed")
+
+    argv = ["game", fx("game_win.cov"), "--strategy"]
+    monkeypatch.setattr(cli, "_fmt_cover", unused)
+    assert main(["--json"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["strategy"]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_cover_json", unused)
+    assert main(argv) == 0
+    assert "strategy:\n  at " in capsys.readouterr().out
+
+
 def test_spatial_text_output(capsys):
     main(["spatial", fx("sierpinski_space.cov")])
     out = capsys.readouterr().out

@@ -53,6 +53,7 @@ from locfine.frames import (
 )
 from locfine.products import canonical_cov, product_space
 from test_acceptance import CORPUS, _commutative_monoids_up_to, random_monoid
+from test_carrier import _reference_canonical_covers
 
 f = frozenset
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -380,6 +381,58 @@ def test_meet_id_is_the_meet_of_the_covers():
         for i, u in enumerate(space.covers):
             for j, v in enumerate(space.covers):
                 assert space.meet_id(i, j) == space.cid[meet_cover(u, v, carrier)], (u, v)
+
+
+class TestMaskBuiltSpace:
+    """``_CoverSpace`` interns the covers from one antichain pass over the
+    carrier's own masks; it must agree with the recursive ``le``-driven
+    reference and with the masks' definitions."""
+
+    def test_covers_are_the_reference_in_cover_key_order(self):
+        for carrier in _meet_carriers():
+            assert _CoverSpace(carrier, 5000).covers == _reference_canonical_covers(carrier)
+
+    def test_down_is_the_or_of_under_over_the_members(self):
+        for carrier in _meet_carriers():
+            space = _CoverSpace(carrier, 5000)
+            nonempty = [i for i, a in enumerate(space.subjects) if a != f()]
+            for c, u in enumerate(space.covers):
+                assert space.members[c] == sum(1 << space.sid[a] for a in u)
+                below = 0
+                for a in u:
+                    below |= space.under[space.sid[a]]
+                assert space.down[c] == below & sum(1 << i for i in nonempty), u
+
+    def test_the_cover_guard_is_exact_on_preorder_carriers(self):
+        for carrier in _meet_carriers():
+            if isinstance(carrier, SubsetCarrier):
+                continue
+            count = len(_reference_canonical_covers(carrier))
+            for max_count in sorted({0, 1, count // 2, count - 1}):
+                with pytest.raises(LimitExceededError, match=f"^more than {max_count} "):
+                    _CoverSpace(carrier, max_count)
+                with pytest.raises(LimitExceededError, match=f"^more than {max_count} "):
+                    all_canonical_covers(carrier, max_count=max_count)
+            assert len(_CoverSpace(carrier, count).covers) == count
+
+    def test_the_space_asks_no_order_question(self, monkeypatch):
+        carriers = _meet_carriers()
+        expected = [_reference_canonical_covers(c) for c in carriers]
+
+        def le(self, a, b):
+            raise AssertionError("le called while building the space")
+
+        monkeypatch.setattr(Preorder, "le", le)
+        monkeypatch.setattr(SubsetCarrier, "le", le)
+        for carrier, covers in zip(carriers, expected):
+            assert _CoverSpace(carrier, 5000).covers == covers
+
+    @pytest.mark.parametrize("family", sorted(CLOSE_CORPUS))
+    def test_saturate_returns_its_closure_canonical(self, family):
+        for rel in CLOSE_CORPUS[family]():
+            closed, _ = saturate(rel)
+            assert closed == CoveringRelation(rel.carrier, closed.pairs)
+            assert type(closed.pairs) is frozenset
 
 
 class TestRoundsAreSemiNaive:

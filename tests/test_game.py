@@ -12,7 +12,15 @@ from locfine.carrier import (
     restrict,
 )
 from locfine import game
-from locfine.covering import CoveringMonoid, check_witness, global_meet, member, rank, witness_tree
+from locfine.covering import (
+    CoveringMonoid,
+    _least_ranks,
+    check_witness,
+    global_meet,
+    member,
+    rank,
+    witness_tree,
+)
 from locfine.errors import NoStrategyError
 from locfine.game import (
     GameResult,
@@ -384,3 +392,27 @@ class TestOneSearch:
             g = GameSpec(m, global_meet(m))
             tree = unwind_strategy(g, solve(g).strategy)
             assert rank(m) == max(tree.depth() - 1, 0), m
+
+
+def test_the_search_keys_each_trace_at_most_once():
+    """A tie compares the new trace's key with the current move's, which is
+    kept, so no trace is keyed twice.  Traces are handed out as fresh lists,
+    whose identities stay distinct while ``keyed`` holds them."""
+    rng = random.Random(26)
+    calls = 0
+    for _ in range(200):
+        pts = [str(i) for i in range(rng.randint(3, 6))]
+        c = SubsetCarrier(pts)
+        m = CoveringMonoid(c, tuple(_random_cover(rng, pts, 2)
+                                    for _ in range(rng.randint(3, 6))))
+        keyed = []
+
+        def key(u):
+            keyed.append(u)
+            return cover_key(u, c)
+
+        _least_ranks(lambda p: [list(c.meet(b, (p,))) for b in m.basis],
+                     global_meet(m), c.le, len(m.basis), c.class_reps(), key)
+        assert len({id(u) for u in keyed}) == len(keyed)
+        calls += len(keyed)
+    assert calls > 1000
