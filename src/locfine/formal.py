@@ -133,7 +133,7 @@ def _saturate_judgments(p: FormalPresentation, max_covers: int = DEFAULT_MAX_COV
 
 
 def _derived(p: FormalPresentation, max_covers: int):
-    """``_saturate_judgments``, called with ``p`` alone at the default guard."""
+    """``_saturate_judgments(p)`` at the default guard, the call its counting wrappers take."""
     return _saturate_judgments(p, *([max_covers] if max_covers != DEFAULT_MAX_COVERS else []))
 
 
