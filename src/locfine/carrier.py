@@ -120,8 +120,19 @@ class Preorder:
     """
 
     def __init__(self, elements: Iterable[str], le_pairs: Iterable[tuple], top: str):
-        names = self.elements_tuple = tuple(sorted(set(elements)))
-        bit, up, down = _masks(names, le_pairs)
+        names = tuple(sorted(set(elements)))
+        self._setup(names, *_masks(names, le_pairs), top)
+
+    @classmethod
+    def _from_masks(cls, names, up, down, top):
+        """From sorted ``names`` and lists of their masks, checked alike."""
+        self = cls.__new__(cls)
+        self._setup(names, {x: 1 << i for i, x in enumerate(names)},
+                    dict(zip(names, up)), dict(zip(names, down)), top)
+        return self
+
+    def _setup(self, names, bit, up, down, top):
+        self.elements_tuple = names
         bad = _intransitive(names, up)
         if bad:
             raise ValueError("relation is not transitive: {} <= {} <= {}".format(*bad[0]))

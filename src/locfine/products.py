@@ -6,9 +6,11 @@ contained in sat(V).  One kernel, ``_Coverage``, computes saturations as
 least fixpoints of Horn rules (Dowling & Gallier, 1984).  The coproduct of
 finite frames is generated on the weak product by single-coordinate splits
 (a, U), U replacing one coordinate of a by a family join-dominating it;
-each split is one rule.  As sat(U | {b}) is the least closed superset of
-sat(U) and b (C4), one fold finds every locale element, one class
-representative at a time, each step growing the closed set it holds.
+each split is one rule, read with the product order from the factors'
+masks.  Saturations are int masks over the carrier's elements.  As
+sat(U | {b}) is the least closed superset of sat(U) and b (C4), one fold
+finds every locale element, one class representative at a time, each step
+growing the closed set it holds.
 
 The locale's order is read from saturation columns: with col[b] the int
 bitmask of the elements whose saturation holds b, the elements above s are
@@ -20,15 +22,17 @@ sat({b}) below it, so the frame's point search tests only those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import compress
 from itertools import product as iproduct
 from operator import and_
 
 from .carrier import (
     Preorder,
     SubsetCarrier,
+    _antichain_pass,
+    _bits,
     all_canonical_covers,
-    antichains,
     cover_key,
     fold_meet,
     normalize,
@@ -147,104 +151,128 @@ class GeneratedLocale:
         self._by_set = {self.frame.meaning(x): x for x in self.frame.elements}
 
 
-def _locale_from_sats(carrier, cov, sats_with_reps, generators=None) -> GeneratedLocale:
-    """The locale of the given saturations, labelled x0, x1, ... by size.
-
-    The order comes from the columns col[b], as the module describes.
-    ``generators``, when given, are saturations of which every element is a
-    join; only they can be join-prime, so the point search tests only them.
-    """
-    atoms = frozenset().union(*sats_with_reps)
-    rank = {b: r for r, b in enumerate(sorted(atoms, key=carrier.key))}
+def _locale_from_sats(carrier, cov, sats_with_reps, generators=None):
+    """The locale of the given saturations, masks over ``cov``'s atoms,
+    labelled x0, x1, ... by size, then by the sorted ranks of their atoms;
+    and the labels of ``generators``, a dict of saturations of which every
+    element is a join, so that only they can be join-prime and the point
+    search tests only them."""
+    atoms = cov._atoms
+    fmt = f"0{len(atoms)}b"
+    every = (1 << len(atoms)) - 1
+    # bit order is key order: of two sets of one size, the one holding the
+    # least atom they do not share comes first
     ordered = sorted(sats_with_reps,
-                     key=lambda s: (len(s), sorted(map(rank.__getitem__, s))))
+                     key=lambda s: (s.bit_count(), format(every ^ s, fmt)[::-1]))
     labels = tuple(f"x{i}" for i in range(len(ordered)))
     index = {s: i for i, s in enumerate(ordered)}
-    n = len(ordered)
-    cols = {b: bytearray((n + 7) // 8) for b in atoms}
+    # col[b] is column b of the rows of binary digits, read from the last row
+    text = "".join(format(s, fmt)[::-1] for s in reversed(ordered))
+    col = [int(text[b::len(atoms)], 2) for b in range(len(atoms))]
+    full = (1 << len(ordered)) - 1
+    outside = [full ^ c for c in col]
+    up, down, meanings = {}, {}, []
     for i, s in enumerate(ordered):
-        for b in s:
-            cols[b][i >> 3] |= 1 << (i & 7)
-    full = (1 << n) - 1
-    col = {b: int.from_bytes(c, "little") for b, c in cols.items()}
-    outside = {b: full ^ c for b, c in col.items()}
-    up, down = {}, {}
-    for i, s in enumerate(ordered):
-        up[labels[i]] = reduce(and_, map(col.__getitem__, s), full)
+        holds = _holds(s, fmt)
+        meanings.append(frozenset(compress(atoms, holds)))
+        up[labels[i]] = reduce(and_, compress(col, holds), full)
         # sorted by size, so no subset of s comes later: start from bits 0..i
-        down[labels[i]] = reduce(and_, map(outside.__getitem__, atoms - s), (2 << i) - 1)
-    dense = None
-    if generators is not None:
-        dense = sum(1 << i for i in {index[s] for s in generators})
-    frame = Frame._from_masks(labels, up, down, dict(zip(labels, ordered)), dense)
+        down[labels[i]] = reduce(and_, compress(outside, _holds(every ^ s, fmt)), (2 << i) - 1)
+    dense = None if generators is None else sum({1 << index[s] for s in generators.values()})
+    frame = Frame._from_masks(labels, up, down, dict(zip(labels, meanings)), dense)
     reps = {labels[i]: sats_with_reps[s] for i, s in enumerate(ordered)}
-    return GeneratedLocale(carrier, cov, tuple(ordered), frame, reps)
+    locale = GeneratedLocale(carrier, cov, tuple(meanings), frame, reps)
+    return locale, {b: labels[index[s]] for b, s in (generators or {}).items()}
+
+
+def _holds(mask, fmt):
+    """A mask's bits, lowest first, as bytes 0 and 1: a ``compress`` selector."""
+    return format(mask, fmt)[::-1].encode().translate(_DIGITS)
+
+
+_DIGITS = bytes.maketrans(b"01", bytes([0, 1]))
 
 
 def _fold_locale(cov, max_covers, what):
     """The locale of saturations folded from sat(empty), one class
     representative b at a time, skipping b in sat(U) (U | {b} ~ U): each
     step gives sat(U | {b}) as the least closed superset of sat(U) and b.
-    Returns the locale and each b's saturation sat({b}), the locale's
-    generators."""
+    Returns the locale and the label of each b's saturation sat({b}), the
+    locale's generators."""
     carrier = cov.carrier
-    start = cov.derivable_set(frozenset())
+    start = cov._mask(cov.derivable_set(frozenset()))
     sats = {start: frozenset()}
     gens = {}
     for b in carrier.class_reps():
+        bit = cov._bit[b]
         gens[b] = start
-        for s, rep in [(s, rep) for s, rep in sats.items() if b not in s]:
-            t = cov._extend(s, [b])
-            if s is start:
+        for s, rep in [(s, rep) for s, rep in sats.items() if not s & bit]:
+            t = cov._extend(s, bit)
+            if s == start:
                 gens[b] = t
             if t not in sats:
-                sats[t] = normalize(rep | {b}, carrier)
+                sats[t] = carrier.maximal(rep | {b})
         if len(sats) > max_covers:
             raise LimitExceededError(f"{what} exceeded the size guard")
-    return _locale_from_sats(carrier, cov, sats, gens.values()), gens
+    return _locale_from_sats(carrier, cov, sats, gens)
 
 
 class _Coverage:
-    """Least fixpoint of Horn rules (head, body) over class representatives:
-    sat(U) holds U's normalized members and each head whose body it holds.
+    """Least fixpoint of Horn rules (head, body) over a carrier: sat(U)
+    holds U's normalized members and each head whose body it holds.
 
-    ``_extend`` grows a closed set: sat(U | {b}) is the least closed
-    superset of sat(U) and b, so it derives b and wakes only the rules that
-    watch a newly derived atom, each firing when its body lies in the
-    derived set.  ``derivable_set`` is the same step from the empty set with
-    U and the empty-bodied heads, memoised."""
+    Closed sets are int masks over the carrier's elements in key order; a
+    rule is a head bit and a body mask, watched by every atom of its body,
+    and dropped if its body holds its head.  ``_extend`` grows a closed set:
+    sat(U | {b}) is the least closed superset of sat(U) and b, so it derives
+    b and wakes only the rules that watch a newly derived atom, each firing
+    when its body lies in the derived set.  ``derivable_set`` is the same
+    step from the empty set with U and the empty-bodied heads, memoised."""
 
     def __init__(self, carrier, rules):
         self.carrier = carrier
-        self.rules = rules
-        self._start = [head for head, body in rules if not body]
-        self._watch = {}
-        for i, (_, body) in enumerate(rules):
-            for m in body:
-                self._watch.setdefault(m, []).append(i)
-        self._memo = {}
+        self._atoms = tuple(sorted(carrier.elements(), key=carrier.key))
+        self._bit = {x: 1 << i for i, x in enumerate(self._atoms)}
+        self._watch = [[] for _ in self._atoms]
+        self._start, self._memo = 0, {}
+        self._compile((self._bit[head], self._mask(body)) for head, body in rules)
+
+    def _compile(self, rules):
+        """Watch each rule (head bit, body mask) unless its body holds its head."""
+        for head, body in rules:
+            if not body:
+                self._start |= head
+            elif not body & head:
+                for i in _bits(body):
+                    self._watch[i].append((head, body))
+
+    def _mask(self, names) -> int:
+        return sum(map(self._bit.__getitem__, names))
+
+    def _names(self, mask) -> frozenset:
+        return frozenset(compress(self._atoms, _holds(mask, f"0{len(self._atoms)}b")))
 
     def derivable_set(self, target) -> frozenset:
         """All class representatives b with (b, target) in the closure."""
         target = normalize(target, self.carrier)
         got = self._memo.get(target)
         if got is None:
-            got = self._memo[target] = self._extend(frozenset(), [*target, *self._start])
+            got = self._memo[target] = self._names(
+                self._extend(0, self._mask(target) | self._start))
         return got
 
-    def _extend(self, closed, atoms) -> frozenset:
-        """The least closed superset of a closed set and some atoms."""
-        derived = set(closed)
-        todo = list(atoms)
+    def _extend(self, closed, atoms) -> int:
+        """The least closed superset of a closed set and a mask of atoms."""
+        derived = closed
+        todo = atoms & ~closed
         while todo:
-            a = todo.pop()
-            if a not in derived:
-                derived.add(a)
-                for i in self._watch.get(a, ()):
-                    head, body = self.rules[i]
-                    if head not in derived and body <= derived:
-                        todo.append(head)
-        return frozenset(derived)
+            low = todo & -todo
+            todo ^= low
+            derived |= low
+            for head, body in self._watch[low.bit_length() - 1]:
+                if not head & derived and not body & ~derived:
+                    todo |= head
+        return derived
 
     def holds(self, a, u) -> bool:
         self.carrier.check_element(a)
@@ -280,25 +308,53 @@ def locale_from_cov(rel: CoveringRelation,
 
 
 class ProductCoverage(_Coverage):
-    """The C1-C4 closure of single-coordinate splits over a frame product:
-    ``_splits[i][x]`` lists the families of factor i that join-dominate x."""
+    """The C1-C4 closure of single-coordinate splits over a frame product,
+    read from the factors' masks: ``_splits[i][x]`` lists the families of
+    factor i that join-dominate x; ``rules``, built on first read, names them."""
 
     def __init__(self, factors, max_covers: int = DEFAULT_MAX_COVERS):
         self.factors = list(factors)
-        elems = [tuple(c) for c in iproduct(*[f.elements for f in self.factors])]
-        le = {(a, b) for a in elems
-              for b in iproduct(*[f.up_set(x) for f, x in zip(self.factors, a)])}
-        self.top = tuple(f.top for f in self.factors)
-        self.carrier = Preorder(elems, le, self.top)
-        self._splits = []
+        names = tuple(iproduct(*[f.elements for f in self.factors]))
+        every = (1 << len(names)) - 1
+        ups, downs, strides, stride = [every], [every], [], len(names)
         for f in self.factors:
-            covers = antichains(sorted(f.elements), f.le, max_count=max_covers)
-            # f.le(x, None) is false: a family with no join splits nothing
-            self._splits.append({x: [c for c in covers if f.le(x, f.big_join(c))]
-                                 for x in f.elements})
-        super().__init__(self.carrier, self._split_rules())
+            n = len(f.elements)
+            stride //= n
+            strides.append(stride)
+            # shift[x]: the product elements whose coordinate here is x
+            first = ((1 << stride) - 1) * (every // ((1 << n * stride) - 1))
+            shift = {x: first << p * stride for p, x in enumerate(f.elements)}
+            ups = [a & sum(map(shift.get, f.up_set(x))) for a in ups for x in f.elements]
+            downs = [a & sum(map(shift.get, f.down_set(x))) for a in downs for x in f.elements]
+        self.top = tuple(f.top for f in self.factors)
+        super().__init__(Preorder._from_masks(names, ups, downs, self.top), ())
+        self._splits = [self._add_splits(f, s, max_covers)
+                        for f, s in zip(self.factors, strides)]
 
-    def _split_rules(self):
+    def _add_splits(self, f, stride, max_covers):
+        """Compile and return by name the splits of factor f, whose coordinate
+        has the given stride: a family at positions P splits each t below its
+        join by the body ``pattern << t0``, pattern holding bit p * stride for
+        p in P and t0 being t with this coordinate made the first."""
+        pos = {x: p for p, x in enumerate(f.elements)}
+        comparable = [sum(1 << pos[y] for y in f.up_set(x) | f.down_set(x)) for x in f.elements]
+        splits, bodies = {x: [] for x in f.elements}, [[] for _ in f.elements]
+        for c, _ in _antichain_pass(comparable, comparable, (1 << len(pos)) - 1, max_covers):
+            family = frozenset(f.elements[p] for p in _bits(c))
+            pattern = sum(1 << p * stride for p in _bits(c))
+            j = f.big_join(family)
+            # a family with no join splits nothing
+            for x in f.down_set(j) if j is not None else ():
+                splits[x].append(family)
+                bodies[pos[x]].append(pattern)
+        reps = self.carrier._reps
+        self._compile((1 << t, pattern << t - t // stride % len(pos) * stride)
+                      for t in range(len(self._atoms)) if reps >> t & 1
+                      for pattern in bodies[t // stride % len(pos)])
+        return splits
+
+    @cached_property
+    def rules(self):
         return [(b, frozenset(b[:i] + (x,) + b[i + 1:] for x in s))
                 for b in self.carrier.class_reps()
                 for i, table in enumerate(self._splits) for s in table[b[i]]]
@@ -322,7 +378,7 @@ def coproduct_frames(fs, max_covers: int = DEFAULT_MAX_COVERS):
     embedding of the weak product into it."""
     locale, gens = _fold_locale(ProductCoverage(fs, max_covers=max_covers),
                                 max_covers, "coproduct locale")
-    return locale, EmbeddingPhi({b: locale.label_of(t) for b, t in gens.items()})
+    return locale, EmbeddingPhi(gens)
 
 
 # ---------------------------------------------------------------------------

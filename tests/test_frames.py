@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+import locfine.frames as frames_module
 from locfine.carrier import reflexive_transitive_closure, subsets
 from locfine.errors import InvalidTopologyError
 from locfine.frames import (
@@ -538,6 +539,40 @@ class TestMatchesSearchReference:
         # every subset up to 10 elements, subsets of at most 3 beyond
         limit = None if len(fr) <= 10 else 3
         assert _compare_with_reference(fr, max_subset=limit) == (True, True)
+
+
+def _heyting_loop(fr):
+    """validate_frame's loop over every triple, the test that the join-prime
+    test replaces on distributive lattices."""
+    out = []
+    for x in fr.elements:
+        for y in fr.elements:
+            for z in fr.elements:
+                lhs = fr.meet(x, fr.join(y, z))
+                rhs = fr.join(fr.meet(x, y), fr.meet(x, z))
+                if lhs != rhs:
+                    out.append(
+                        f"Heyting law fails: {x} /\\ ({y} \\/ {z}) = {lhs} "
+                        f"but ({x} /\\ {y}) \\/ ({x} /\\ {z}) = {rhs}")
+    return tuple(out)
+
+
+def test_join_prime_test_agrees_with_the_triple_loop():
+    """On every lattice of the corpora above, the join-irreducibles are all
+    join-prime exactly when the loop finds nothing, and validate_frame
+    reports the loop's lines byte for byte."""
+    frames = [_n5(), diamond_m3()] + list(_random_posets(3000, seed=11))
+    frames += [fr for n in range(1, 5) for fr in _transitive_relations(n)]
+    verdicts = []
+    for fr in frames:
+        if not _ReferenceFrame(fr.elements, fr.le_set).is_lattice():
+            continue
+        loop = _heyting_loop(fr)
+        assert frames_module._irreducibles_are_prime(fr) == (not loop)
+        assert validate_frame(fr).violations == loop
+        verdicts.append(not loop)
+    assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+    assert not verdicts[0] and not verdicts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import product as iproduct
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +22,9 @@ from locfine.carrier import (
     fold_meet,
     meet_cover,
     normalize,
+    reflexive_transitive_closure,
     refines,
+    subsets,
 )
 from locfine.covering import (
     CoveringMonoid,
@@ -454,11 +458,21 @@ def _reference_coproduct_frames(fs, max_covers=5000):
         frontier = new_frontier
         if len(sats) > max_covers:
             raise LimitExceededError("coproduct locale exceeded the size guard")
-    locale = _locale_from_sats(carrier, coverage, sats)
+    locale = _locale_of_sets(carrier, coverage, sats)
     phi = EmbeddingPhi({
         b: locale.label_of(coverage.derivable_set(frozenset([b])))
         for b in carrier.class_reps()})
     return locale, phi
+
+
+def _locale_of_sets(carrier, cov, sats_with_reps):
+    """The locale builder on saturations given as sets of names: the one
+    place they become masks, over the atoms of ``cov`` or of a kernel with
+    no rules."""
+    kernel = cov if cov is not None else products._Coverage(carrier, [])
+    sats = {kernel._mask(s): rep for s, rep in sats_with_reps.items()}
+    locale, _ = _locale_from_sats(carrier, kernel, sats)
+    return locale
 
 
 COPRODUCT_SHAPES = [(a, b) for a in sorted(SPACES) + ["six"]
@@ -653,7 +667,7 @@ def _apply_mutation(monkeypatch, mutation):
         init(self, *args, **kwargs)
         mutation(self)
         # the kernel's rules are built from the splits, so build them again
-        products._Coverage.__init__(self, self.carrier, self._split_rules())
+        products._Coverage.__init__(self, self.carrier, self.rules)
 
     monkeypatch.setattr(ProductCoverage, "__init__", mutated)
 
@@ -710,6 +724,133 @@ def test_product_order_matches_the_factorwise_test():
         le = {(a, b) for a in elems for b in elems
               if all(fr.le(x, y) for fr, x, y in zip(factors, a, b))}
         assert ProductCoverage(factors).carrier.le_pairs() == le, pair
+
+
+# The mask-built product coverage against the name-built construction it
+# replaced: the preorder from its pair set, each factor's families from
+# ``antichains`` over ``f.le``, and the split rules by name.
+
+def _reference_product_coverage(factors, max_covers=5000):
+    elems = [tuple(c) for c in iproduct(*[fr.elements for fr in factors])]
+    le = {(a, b) for a in elems
+          for b in iproduct(*[fr.up_set(x) for fr, x in zip(factors, a)])}
+    carrier = Preorder(elems, le, tuple(fr.top for fr in factors))
+    splits = []
+    for fr in factors:
+        covers = antichains(sorted(fr.elements), fr.le, max_count=max_covers)
+        splits.append({x: [c for c in covers if fr.le(x, fr.big_join(c))]
+                       for x in fr.elements})
+    rules = [(b, f(b[:i] + (x,) + b[i + 1:] for x in s))
+             for b in carrier.class_reps()
+             for i, table in enumerate(splits) for s in table[b[i]]]
+    return SimpleNamespace(factors=factors, carrier=carrier, _splits=splits, rules=rules)
+
+
+def _random_t0_space(rng, n):
+    """The up-sets of a random order on n points: a finite T0 space."""
+    names = rng.sample("abcdefgh", n)
+    le = reflexive_transitive_closure(names, [
+        (names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+    opens = {f(x for x in names if any((y, x) in le for y in low)) for low in subsets(names)}
+    return SpaceDescription(f(names), f(opens))
+
+
+def _random_products(count, seed):
+    """Products of two spaces of 1-3 points or three of 1-2 points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice([2, 3])
+        yield [_random_t0_space(rng, rng.randint(1, 5 - k)) for _ in range(k)]
+
+
+TRIPLES = list(iproduct(["chain3", "discrete2", "sierpinski"], repeat=3))
+RANDOM_PRODUCTS = list(_random_products(50, seed=28))
+
+
+def _reference_factor_lists():
+    """Every pair of ALL_PAIRS, every triple of TRIPLES, the random products,
+    and two products with a factor whose bit order is not its name order."""
+    spaces = dict(ALL_SPACES)
+    out = [[frame_from_space(spaces[k]) for k in shape] for shape in ALL_PAIRS + TRIPLES]
+    out += [[frame_from_space(s) for s in spaces] for spaces in RANDOM_PRODUCTS]
+    sq, _ = coproduct_frames([frame_from_space(space_chain3())] * 2)
+    assert tuple(sq.frame._by_bit) != sq.frame.elements
+    out += [[sq.frame, frame_from_space(space_sierpinski())],
+            [frame_from_space(space_discrete("pq")), sq.frame]]
+    return out
+
+
+def test_mask_built_product_matches_the_name_built_reference():
+    checked = 0
+    for factors in _reference_factor_lists():
+        got, ref = ProductCoverage(factors), _reference_product_coverage(factors)
+        assert got.carrier.le_pairs() == ref.carrier.le_pairs()
+        assert got.carrier.class_reps() == ref.carrier.class_reps()
+        assert got._splits == ref._splits
+        assert got.rules == ref.rules
+        for target in [f()] + [f([b]) for b in ref.carrier.class_reps()]:
+            assert got.derivable_set(target) == _reference_derivable_set(ref, target)
+            checked += 1
+    assert checked == 2643
+
+
+def test_an_intransitive_factor_raises_as_the_pair_set_preorder_does():
+    bad = Frame(["a", "b", "c"], {("a", "b"), ("b", "c")})
+    for factors in ([bad], [bad, frame_from_space(space_sierpinski())],
+                    [frame_from_space(space_discrete("pq")), bad]):
+        with pytest.raises(ValueError) as want:
+            _reference_product_coverage(factors)
+        with pytest.raises(ValueError) as got:
+            ProductCoverage(factors)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("relation is not transitive")
+
+
+# The coproduct of finite frames is the frame of opens of the product of
+# their point spaces, so its size is the number of up-sets of the product of
+# the factors' specialization orders.
+
+def _count_up_sets(spaces):
+    """The up-sets of the product order, counted as its antichains: those
+    within ``allowed`` either skip its lowest point i or hold i and then
+    nothing comparable with i; memoised on the mask."""
+    combos = list(iproduct(*[sorted(s.points) for s in spaces]))
+
+    def le(p, q):
+        return all(y in o for s, x, y in zip(spaces, p, q) for o in s.opens if x in o)
+
+    comparable = [sum(1 << j for j, q in enumerate(combos) if le(p, q) or le(q, p))
+                  for p in combos]
+    memo = {0: 1}
+
+    def count(allowed):
+        got = memo.get(allowed)
+        if got is None:
+            low = allowed & -allowed
+            i = low.bit_length() - 1
+            got = memo[allowed] = (count(allowed ^ low)
+                                   + count(allowed & ~comparable[i]))
+        return got
+
+    return count((1 << len(combos)) - 1)
+
+
+@pytest.mark.parametrize("shape,size", [
+    (("chain3",) * 3, 980), (("six", "six", "sierpinski"), 2160),
+    (("chain3", "chain3", "six"), 3500)], ids=["chain3^3", "six^2xsierpinski", "chain3^2xsix"])
+def test_coproduct_size_is_the_up_set_count(shape, size):
+    spaces = [ALL_SPACES[k] for k in shape]
+    assert _count_up_sets(spaces) == size
+    loc, _ = coproduct_frames([frame_from_space(s) for s in spaces])
+    assert len(loc.frame) == size
+    assert len(points_of(loc.frame)) == prod(len(s.points) for s in spaces)
+
+
+def test_random_coproducts_have_the_up_set_count():
+    for spaces in RANDOM_PRODUCTS:
+        loc, _ = coproduct_frames([frame_from_space(s) for s in spaces])
+        assert len(loc.frame) == _count_up_sets(spaces)
+        assert len(points_of(loc.frame)) == prod(len(s.points) for s in spaces)
 
 
 # The Horn-clause kernel against the loops it replaced.
@@ -770,7 +911,7 @@ def _reference_locale_from_cov(rel, max_covers=5000):
     sats = {}
     for u in all_canonical_covers(carrier, max_count=max_covers):
         sats.setdefault(frozenset(by_cover.get(u, ())), u)
-    return _locale_from_sats(carrier, rel, sats)
+    return _locale_of_sets(carrier, None, sats)
 
 
 def _random_relation(rng, carrier, gens):
@@ -897,7 +1038,9 @@ def _extend_visits(monkeypatch, build):
 
     def recorded(self, closed, atoms):
         out = extend(self, closed, atoms)
-        visits.append((self, closed, tuple(atoms), out))
+        # the kernel steps on masks; the coverage's own decoder names them
+        visits.append((self, self._names(closed), tuple(self._names(atoms)),
+                       self._names(out)))
         return out
 
     with monkeypatch.context() as m:
@@ -1022,7 +1165,7 @@ def test_masks_of_arbitrary_set_families_match_the_pair_set():
     for _ in range(300):
         family = {f(rng.sample(atoms, rng.randint(0, len(atoms)))): f([i])
                   for i in range(rng.randint(1, 9))}
-        got = _locale_from_sats(carrier, None, family)
+        got = _locale_of_sets(carrier, None, family)
         ref = _reference_locale_from_sats(carrier, None, family)
         assert got.frame._join_dense is None
         _assert_same_locale(got, ref)

@@ -2,6 +2,7 @@
 and the public names stay as pinned."""
 
 import ast
+import importlib.util
 import os
 import sys
 
@@ -78,3 +79,20 @@ def test_no_module_calls_a_pairwise_meet():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "meet2"]
     assert calls == []
+
+
+def test_every_tracer_target_resolves():
+    """perfbench's tracer wraps named functions and methods; a name the
+    library no longer has would silently drop a per-layer counter."""
+    # the benchmark imports every submodule before it installs the tracer
+    importlib.import_module("locfine.cli")
+    path = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer(locfine).install()
+    try:
+        assert tracer.missing == []
+        assert len(tracer._layer_of) == len(tracer_module.TARGETS)
+    finally:
+        tracer.uninstall()
