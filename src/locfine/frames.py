@@ -261,9 +261,8 @@ def validate_frame(f: Frame) -> FrameReport:
 
 
 def _irreducibles_are_prime(f: Frame) -> bool:
-    """Whether each join-irreducible, an element with one lower cover, is
-    join-prime: exactly then is a finite lattice distributive (Davey &
-    Priestley, ch. 5)."""
+    """Whether each join-irreducible (one lower cover) is join-prime: exactly
+    then is a finite lattice distributive (Davey & Priestley, ch. 5)."""
     primes = f._join_primes()
     for x in f._by_bit:
         below = f._down[x] & ~f._bit[x]

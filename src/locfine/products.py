@@ -47,6 +47,9 @@ from .covering import (
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
 
+# b"0" and b"1" to the bytes 0 and 1, which ``compress`` reads as false and true
+_DIGITS = bytes.maketrans(b"01", bytes([0, 1]))
+
 
 # ---------------------------------------------------------------------------
 # Products of spaces and of cover monoids
@@ -147,8 +150,9 @@ class GeneratedLocale:
     def label_of(self, satset):
         return self._by_set[satset]
 
-    def __post_init__(self):
-        self._by_set = {self.frame.meaning(x): x for x in self.frame.elements}
+    @cached_property
+    def _by_set(self):
+        return {self.frame.meaning(x): x for x in self.frame.elements}
 
 
 def _locale_from_sats(carrier, cov, sats_with_reps, generators=None):
@@ -190,9 +194,6 @@ def _holds(mask, fmt):
     return format(mask, fmt)[::-1].encode().translate(_DIGITS)
 
 
-_DIGITS = bytes.maketrans(b"01", bytes([0, 1]))
-
-
 def _fold_locale(cov, max_covers, what):
     """The locale of saturations folded from sat(empty), one class
     representative b at a time, skipping b in sat(U) (U | {b} ~ U): each
@@ -206,12 +207,12 @@ def _fold_locale(cov, max_covers, what):
     for b in carrier.class_reps():
         bit = cov._bit[b]
         gens[b] = start
-        for s, rep in [(s, rep) for s, rep in sats.items() if not s & bit]:
+        for s in [s for s in sats if not s & bit]:
             t = cov._extend(s, bit)
             if s == start:
                 gens[b] = t
             if t not in sats:
-                sats[t] = carrier.maximal(rep | {b})
+                sats[t] = carrier.maximal(sats[s] | {b})
         if len(sats) > max_covers:
             raise LimitExceededError(f"{what} exceeded the size guard")
     return _locale_from_sats(carrier, cov, sats, gens)
@@ -238,13 +239,14 @@ class _Coverage:
         self._compile((self._bit[head], self._mask(body)) for head, body in rules)
 
     def _compile(self, rules):
-        """Watch each rule (head bit, body mask) unless its body holds its head."""
+        """Watch each rule (head bit, body mask) as (head, head | body),
+        unless its body holds its head."""
         for head, body in rules:
             if not body:
                 self._start |= head
             elif not body & head:
                 for i in _bits(body):
-                    self._watch[i].append((head, body))
+                    self._watch[i].append((head, head | body))
 
     def _mask(self, names) -> int:
         return sum(map(self._bit.__getitem__, names))
@@ -269,8 +271,9 @@ class _Coverage:
             low = todo & -todo
             todo ^= low
             derived |= low
-            for head, body in self._watch[low.bit_length() - 1]:
-                if not head & derived and not body & ~derived:
+            missing = ~derived
+            for head, rule in self._watch[low.bit_length() - 1]:
+                if rule & missing == head:  # the head alone is not derived
                     todo |= head
         return derived
 
@@ -332,10 +335,9 @@ class ProductCoverage(_Coverage):
                         for f, s in zip(self.factors, strides)]
 
     def _add_splits(self, f, stride, max_covers):
-        """Compile and return by name the splits of factor f, whose coordinate
-        has the given stride: a family at positions P splits each t below its
-        join by the body ``pattern << t0``, pattern holding bit p * stride for
-        p in P and t0 being t with this coordinate made the first."""
+        """Compile and return by name the splits of factor f: a family at
+        positions P splits each t below its join by ``pattern << t0``, with
+        bit p * stride for p in P, t0 being t with this coordinate the first."""
         pos = {x: p for p, x in enumerate(f.elements)}
         comparable = [sum(1 << pos[y] for y in f.up_set(x) | f.down_set(x)) for x in f.elements]
         splits, bodies = {x: [] for x in f.elements}, [[] for _ in f.elements]
