@@ -7,10 +7,9 @@ least fixpoints of Horn rules (Dowling & Gallier, 1984).  The coproduct of
 finite frames is generated on the weak product by single-coordinate splits
 (a, U), U replacing one coordinate of a by a family join-dominating it;
 each split is one rule, read with the product order from the factors'
-masks.  Saturations are int masks over the carrier's elements.  As
-sat(U | {b}) is the least closed superset of sat(U) and b (C4), one fold
-finds every locale element, one class representative at a time, each step
-growing the closed set it holds.
+masks.  Saturations are int masks over the carrier's elements.  As sat(U |
+{b}) is the least closed superset of sat(U) and b (C4), one fold finds every
+locale element, one class representative at a time.
 
 The locale's order is read from saturation columns: with col[b] the int
 bitmask of the elements whose saturation holds b, the elements above s are
@@ -47,7 +46,6 @@ from .covering import (
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
 
-# b"0" and b"1" to the bytes 0 and 1, which ``compress`` reads as false and true
 _DIGITS = bytes.maketrans(b"01", bytes([0, 1]))
 
 
@@ -156,11 +154,9 @@ class GeneratedLocale:
 
 
 def _locale_from_sats(carrier, cov, sats_with_reps, generators=None):
-    """The locale of the given saturations, masks over ``cov``'s atoms,
+    """The locale of saturations given as masks over ``cov``'s atoms,
     labelled x0, x1, ... by size, then by the sorted ranks of their atoms;
-    and the labels of ``generators``, a dict of saturations of which every
-    element is a join, so that only they can be join-prime and the point
-    search tests only them."""
+    and the labels of ``generators``, a join-dense set of saturations."""
     atoms = cov._atoms
     fmt = f"0{len(atoms)}b"
     every = (1 << len(atoms)) - 1
@@ -190,18 +186,17 @@ def _locale_from_sats(carrier, cov, sats_with_reps, generators=None):
 
 
 def _holds(mask, fmt):
-    """A mask's bits, lowest first, as bytes 0 and 1: a ``compress`` selector."""
+    """A mask's bits, lowest first, as the bytes 0 and 1 that ``_DIGITS``
+    maps the digits to: a ``compress`` selector, read as false and true."""
     return format(mask, fmt)[::-1].encode().translate(_DIGITS)
 
 
 def _fold_locale(cov, max_covers, what):
-    """The locale of saturations folded from sat(empty), one class
-    representative b at a time, skipping b in sat(U) (U | {b} ~ U): each
-    step gives sat(U | {b}) as the least closed superset of sat(U) and b.
-    Returns the locale and the label of each b's saturation sat({b}), the
-    locale's generators."""
+    """The locale of the saturations folded from sat(empty), one class
+    representative b at a time (skipping b in sat(U), as U | {b} ~ U), and
+    the label of each generator sat({b})."""
     carrier = cov.carrier
-    start = cov._mask(cov.derivable_set(frozenset()))
+    start = cov._extend(0, cov._start)
     sats = {start: frozenset()}
     gens = {}
     for b in carrier.class_reps():
@@ -222,13 +217,10 @@ class _Coverage:
     """Least fixpoint of Horn rules (head, body) over a carrier: sat(U)
     holds U's normalized members and each head whose body it holds.
 
-    Closed sets are int masks over the carrier's elements in key order; a
-    rule is a head bit and a body mask, watched by every atom of its body,
-    and dropped if its body holds its head.  ``_extend`` grows a closed set:
-    sat(U | {b}) is the least closed superset of sat(U) and b, so it derives
-    b and wakes only the rules that watch a newly derived atom, each firing
-    when its body lies in the derived set.  ``derivable_set`` is the same
-    step from the empty set with U and the empty-bodied heads, memoised."""
+    Closed sets are int masks over the carrier's elements in key order.
+    ``_extend`` grows one: sat(U | {b}) is the least closed superset of
+    sat(U) and b, so it wakes only the rules watching a newly derived atom.
+    ``derivable_set`` is that step from the empty set, memoised."""
 
     def __init__(self, carrier, rules):
         self.carrier = carrier
@@ -239,12 +231,11 @@ class _Coverage:
         self._compile((self._bit[head], self._mask(body)) for head, body in rules)
 
     def _compile(self, rules):
-        """Watch each rule (head bit, body mask) as (head, head | body),
-        unless its body holds its head."""
+        """Watch each (head bit, body mask) as (head, head | body) by its body's atoms."""
         for head, body in rules:
             if not body:
                 self._start |= head
-            elif not body & head:
+            elif not body & head:  # a body holding its head adds nothing
                 for i in _bits(body):
                     self._watch[i].append((head, head | body))
 
@@ -306,8 +297,7 @@ def locale_from_cov(rel: CoveringRelation,
                               for x in reps if carrier.le(x, g))
     rules += dict.fromkeys((x, carrier.meet(v, (x,)))
                            for x, v in localised)
-    locale, _ = _fold_locale(_Coverage(carrier, rules), max_covers, "generated locale")
-    return locale
+    return _fold_locale(_Coverage(carrier, rules), max_covers, "generated locale")[0]
 
 
 class ProductCoverage(_Coverage):
@@ -321,11 +311,10 @@ class ProductCoverage(_Coverage):
         every = (1 << len(names)) - 1
         ups, downs, strides, stride = [every], [every], [], len(names)
         for f in self.factors:
-            n = len(f.elements)
-            stride //= n
+            block, stride = stride, stride // len(f.elements)
             strides.append(stride)
             # shift[x]: the product elements whose coordinate here is x
-            first = ((1 << stride) - 1) * (every // ((1 << n * stride) - 1))
+            first = ((1 << stride) - 1) * (every // ((1 << block) - 1))
             shift = {x: first << p * stride for p, x in enumerate(f.elements)}
             ups = [a & sum(map(shift.get, f.up_set(x))) for a in ups for x in f.elements]
             downs = [a & sum(map(shift.get, f.down_set(x))) for a in downs for x in f.elements]
@@ -345,7 +334,6 @@ class ProductCoverage(_Coverage):
             family = frozenset(f.elements[p] for p in _bits(c))
             pattern = sum(1 << p * stride for p in _bits(c))
             j = f.big_join(family)
-            # a family with no join splits nothing
             for x in f.down_set(j) if j is not None else ():
                 splits[x].append(family)
                 bodies[pos[x]].append(pattern)
