@@ -121,11 +121,14 @@ class Preorder:
 
     def __init__(self, elements: Iterable[str], le_pairs: Iterable[tuple], top: str):
         names = tuple(sorted(set(elements)))
-        self._setup(names, *_masks(names, le_pairs), top)
+        bit, up, down = _masks(names, le_pairs)
+        _check_transitive(names, up)
+        self._setup(names, bit, up, down, top)
 
     @classmethod
     def _from_masks(cls, names, up, down, top):
-        """From sorted ``names`` and lists of their masks, checked alike."""
+        """From sorted ``names`` and lists of their masks, which the caller
+        knows to be transitive; the top is checked as by the constructor."""
         self = cls.__new__(cls)
         self._setup(names, {x: 1 << i for i, x in enumerate(names)},
                     dict(zip(names, up)), dict(zip(names, down)), top)
@@ -133,9 +136,6 @@ class Preorder:
 
     def _setup(self, names, bit, up, down, top):
         self.elements_tuple = names
-        bad = _intransitive(names, up)
-        if bad:
-            raise ValueError("relation is not transitive: {} <= {} <= {}".format(*bad[0]))
         if top not in bit:
             raise ValueError(f"unknown top element: {top}")
         undominated = ~down[top] & ((1 << len(names)) - 1)
@@ -245,6 +245,15 @@ def _bits(mask):
         mask ^= low
 
 
+_DIGITS = bytes.maketrans(b"01", bytes([0, 1]))
+
+
+def _selector(mask):
+    """A nonnegative int's bits, lowest first up to its highest set bit, as
+    the bytes 0 and 1: a ``compress`` selector, read as false and true."""
+    return bin(mask)[:1:-1].encode().translate(_DIGITS)
+
+
 def _masks(names, le_pairs):
     """``(bit, up, down)`` of a relation over ``names``: bit i stands for
     ``names[i]``, and each name's up- and down-mask holds the name itself.
@@ -269,6 +278,13 @@ def _intransitive(order, up):
     name, of the relation whose up-masks ``up`` set bit i for ``order[i]``."""
     return sorted((a, order[i], order[j]) for a, mask in up.items() for i in _bits(mask)
                   if up[order[i]] & ~mask for j in _bits(up[order[i]] & ~mask))
+
+
+def _check_transitive(order, up):
+    """Raise ``ValueError`` naming the least triple ``_intransitive`` finds."""
+    bad = _intransitive(order, up)
+    if bad:
+        raise ValueError("relation is not transitive: {} <= {} <= {}".format(*bad[0]))
 
 
 def reflexive_transitive_closure(names, edges) -> set:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 
-from .carrier import _bits, _intransitive, _masks, subsets
+from .carrier import _bits, _intransitive, _masks, _selector, subsets
 from .errors import InvalidTopologyError
 
 
@@ -153,7 +153,7 @@ class Frame:
         return got
 
     def _names(self, mask):
-        return frozenset(self._by_bit[i] for i in _bits(mask))
+        return frozenset(compress(self._by_bit, _selector(mask)))
 
     def _join_primes(self):
         """The mask of the elements ``points_of`` accepts, computed once.

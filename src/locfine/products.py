@@ -6,8 +6,11 @@ contained in sat(V).  One kernel, ``_Coverage``, computes saturations as
 least fixpoints of Horn rules (Dowling & Gallier, 1984).  The coproduct of
 finite frames is generated on the weak product by single-coordinate splits
 (a, U), U replacing one coordinate of a by a family join-dominating it;
-each split is one rule, read with the product order from the factors'
-masks.  Saturations are int masks over the carrier's elements.  As sat(U |
+each split is one rule.  The product order is read from the factors'
+masks, and is transitive when each factor's is; each factor's splits are
+compiled once, as rules at the first element of a line of the product,
+and shifted along every line.  Saturations are int masks over the
+carrier's elements.  As sat(U |
 {b}) is the least closed superset of sat(U) and b (C4), one fold finds every
 locale element, one class representative at a time.
 
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from itertools import product as iproduct
+from math import prod
 from operator import and_
 
 from .carrier import (
@@ -31,6 +35,9 @@ from .carrier import (
     SubsetCarrier,
     _antichain_pass,
     _bits,
+    _check_transitive,
+    _intransitive,
+    _selector,
     all_canonical_covers,
     cover_key,
     fold_meet,
@@ -45,8 +52,6 @@ from .covering import (
 )
 from .errors import LimitExceededError
 from .frames import Frame, SpaceDescription, frame_from_space, is_spatial, points_of
-
-_DIGITS = bytes.maketrans(b"01", bytes([0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,32 +142,40 @@ def canonical_cov(f: Frame, max_covers: int = DEFAULT_MAX_COVERS) -> CoveringRel
 
 @dataclass
 class GeneratedLocale:
-    """A locale presented by saturated subsets of a base carrier."""
+    """A locale presented by saturated subsets of a base carrier.
+    ``rep_masks`` gives each element a mask over ``cov``'s atoms whose
+    saturation it is; ``reps`` names its maximal atoms, on first read."""
 
     carrier: object
     cov: _Coverage
     elements: tuple
     frame: Frame
-    reps: dict
+    rep_masks: dict
 
     def label_of(self, satset):
         return self._by_set[satset]
+
+    @cached_property
+    def reps(self):
+        names, maximal = self.cov._names, self.carrier.maximal
+        return {x: maximal(names(m)) for x, m in self.rep_masks.items()}
 
     @cached_property
     def _by_set(self):
         return {self.frame.meaning(x): x for x in self.frame.elements}
 
 
-def _locale_from_sats(carrier, cov, sats_with_reps, generators=None):
-    """The locale of saturations given as masks over ``cov``'s atoms,
-    labelled x0, x1, ... by size, then by the sorted ranks of their atoms;
-    and the labels of ``generators``, a join-dense set of saturations."""
+def _locale_from_sats(carrier, cov, sats, generators=None):
+    """The locale of saturations given as masks over ``cov``'s atoms, each
+    mapped to the mask of a set it is the saturation of, labelled x0, x1,
+    ... by size, then by the sorted ranks of their atoms; and the labels of
+    ``generators``, a join-dense set of saturations."""
     atoms = cov._atoms
     fmt = f"0{len(atoms)}b"
     every = (1 << len(atoms)) - 1
     # bit order is key order: of two sets of one size, the one holding the
     # least atom they do not share comes first
-    ordered = sorted(sats_with_reps,
+    ordered = sorted(sats,
                      key=lambda s: (s.bit_count(), format(every ^ s, fmt)[::-1]))
     labels = tuple(f"x{i}" for i in range(len(ordered)))
     index = {s: i for i, s in enumerate(ordered)}
@@ -173,22 +186,16 @@ def _locale_from_sats(carrier, cov, sats_with_reps, generators=None):
     outside = [full ^ c for c in col]
     up, down, meanings = {}, {}, []
     for i, s in enumerate(ordered):
-        holds = _holds(s, fmt)
+        holds = _selector(s)
         meanings.append(frozenset(compress(atoms, holds)))
         up[labels[i]] = reduce(and_, compress(col, holds), full)
         # sorted by size, so no subset of s comes later: start from bits 0..i
-        down[labels[i]] = reduce(and_, compress(outside, _holds(every ^ s, fmt)), (2 << i) - 1)
+        down[labels[i]] = reduce(and_, compress(outside, _selector(every ^ s)), (2 << i) - 1)
     dense = None if generators is None else sum({1 << index[s] for s in generators.values()})
     frame = Frame._from_masks(labels, up, down, dict(zip(labels, meanings)), dense)
-    reps = {labels[i]: sats_with_reps[s] for i, s in enumerate(ordered)}
-    locale = GeneratedLocale(carrier, cov, tuple(meanings), frame, reps)
+    rep_masks = {labels[i]: sats[s] for i, s in enumerate(ordered)}
+    locale = GeneratedLocale(carrier, cov, tuple(meanings), frame, rep_masks)
     return locale, {b: labels[index[s]] for b, s in (generators or {}).items()}
-
-
-def _holds(mask, fmt):
-    """A mask's bits, lowest first, as the bytes 0 and 1 that ``_DIGITS``
-    maps the digits to: a ``compress`` selector, read as false and true."""
-    return format(mask, fmt)[::-1].encode().translate(_DIGITS)
 
 
 def _fold_locale(cov, max_covers, what):
@@ -197,7 +204,7 @@ def _fold_locale(cov, max_covers, what):
     the label of each generator sat({b})."""
     carrier = cov.carrier
     start = cov._extend(0, cov._start)
-    sats = {start: frozenset()}
+    sats = {start: 0}    # each saturation's representatives, as a mask
     gens = {}
     for b in carrier.class_reps():
         bit = cov._bit[b]
@@ -207,7 +214,7 @@ def _fold_locale(cov, max_covers, what):
             if s == start:
                 gens[b] = t
             if t not in sats:
-                sats[t] = carrier.maximal(sats[s] | {b})
+                sats[t] = sats[s] | bit
         if len(sats) > max_covers:
             raise LimitExceededError(f"{what} exceeded the size guard")
     return _locale_from_sats(carrier, cov, sats, gens)
@@ -228,11 +235,9 @@ class _Coverage:
         self._bit = {x: 1 << i for i, x in enumerate(self._atoms)}
         self._watch = [[] for _ in self._atoms]
         self._start, self._memo = 0, {}
-        self._compile((self._bit[head], self._mask(body)) for head, body in rules)
-
-    def _compile(self, rules):
-        """Watch each (head bit, body mask) as (head, head | body) by its body's atoms."""
+        # each rule is watched as (head bit, head | body mask) by its body's atoms
         for head, body in rules:
+            head, body = self._bit[head], self._mask(body)
             if not body:
                 self._start |= head
             elif not body & head:  # a body holding its head adds nothing
@@ -243,7 +248,7 @@ class _Coverage:
         return sum(map(self._bit.__getitem__, names))
 
     def _names(self, mask) -> frozenset:
-        return frozenset(compress(self._atoms, _holds(mask, f"0{len(self._atoms)}b")))
+        return frozenset(compress(self._atoms, _selector(mask)))
 
     def derivable_set(self, target) -> frozenset:
         """All class representatives b with (b, target) in the closure."""
@@ -300,6 +305,33 @@ def locale_from_cov(rel: CoveringRelation,
     return _fold_locale(_Coverage(carrier, rules), max_covers, "generated locale")[0]
 
 
+def _product_masks(factors):
+    """The up- and down-masks of a product of frames, its elements numbered
+    in mixed radix over each factor's ``elements``; and per factor its
+    stride and cylinders: ``cylinder[x]`` holds the elements whose
+    coordinate there is x.  An element's mask is the AND of one cylinder
+    union per coordinate."""
+    stride = prod(len(f.elements) for f in factors)
+    every = (1 << stride) - 1
+    ups, downs, axes = [every], [every], []
+    for f in factors:
+        block, stride = stride, stride // len(f.elements)
+        first = ((1 << stride) - 1) * (every // ((1 << block) - 1))
+        cylinder = {x: first << p * stride for p, x in enumerate(f.elements)}
+        axes.append((stride, cylinder))
+        ups = [a & sum(map(cylinder.get, f.up_set(x))) for a in ups for x in f.elements]
+        downs = [a & sum(map(cylinder.get, f.down_set(x))) for a in downs for x in f.elements]
+    return ups, downs, axes
+
+
+def _families(f, max_covers):
+    """The antichains of factor f as masks over its ``elements``, at most
+    ``max_covers`` of them."""
+    pos = {x: p for p, x in enumerate(f.elements)}
+    comparable = [sum(1 << pos[y] for y in f.up_set(x) | f.down_set(x)) for x in f.elements]
+    return [c for c, _ in _antichain_pass(comparable, comparable, (1 << len(pos)) - 1, max_covers)]
+
+
 class ProductCoverage(_Coverage):
     """The C1-C4 closure of single-coordinate splits over a frame product,
     read from the factors' masks: ``_splits[i][x]`` lists the families of
@@ -308,39 +340,53 @@ class ProductCoverage(_Coverage):
     def __init__(self, factors, max_covers: int = DEFAULT_MAX_COVERS):
         self.factors = list(factors)
         names = tuple(iproduct(*[f.elements for f in self.factors]))
-        every = (1 << len(names)) - 1
-        ups, downs, strides, stride = [every], [every], [], len(names)
-        for f in self.factors:
-            block, stride = stride, stride // len(f.elements)
-            strides.append(stride)
-            # shift[x]: the product elements whose coordinate here is x
-            first = ((1 << stride) - 1) * (every // ((1 << block) - 1))
-            shift = {x: first << p * stride for p, x in enumerate(f.elements)}
-            ups = [a & sum(map(shift.get, f.up_set(x))) for a in ups for x in f.elements]
-            downs = [a & sum(map(shift.get, f.down_set(x))) for a in downs for x in f.elements]
+        # a product of transitive orders is transitive, so only an
+        # intransitive factor sends the product to the scan for its least triple
+        if any(_intransitive(f._by_bit, f._up) for f in self.factors):
+            _check_transitive(names, dict(zip(names, _product_masks(self.factors)[0])))
+        # the families, and so their size guard, come before any product mask
+        families = [_families(f, max_covers) for f in self.factors]
+        ups, downs, axes = _product_masks(self.factors)
         self.top = tuple(f.top for f in self.factors)
         super().__init__(Preorder._from_masks(names, ups, downs, self.top), ())
-        self._splits = [self._add_splits(f, s, max_covers)
-                        for f, s in zip(self.factors, strides)]
+        is_rep = _selector(self.carrier._reps).ljust(len(names), b"\0")
+        self._splits = [self._add_splits(f, chains, stride, cylinder, is_rep)
+                        for f, chains, (stride, cylinder) in zip(self.factors, families, axes)]
+        self._start &= self.carrier._reps
 
-    def _add_splits(self, f, stride, max_covers):
-        """Compile and return by name the splits of factor f: a family at
-        positions P splits each t below its join by ``pattern << t0``, with
-        bit p * stride for p in P, t0 being t with this coordinate the first."""
+    def _add_splits(self, f, chains, stride, cylinder, is_rep):
+        """Compile and return by name the splits of factor f.  A family at
+        positions P splits each x below its join: at an element t whose
+        coordinate here is x, the head bit t and the body ``pattern << t0``,
+        with bit p * stride for p in P, t0 being t with this coordinate at
+        the first position.  Each rule is compiled once at t0 = 0 into
+        ``table[p]`` for p in P, and atom t0 + p * stride watches that table
+        shifted by t0.  A head is kept where it is a class representative:
+        x is one at t0 = 0, and the line t0 is one."""
         pos = {x: p for p, x in enumerate(f.elements)}
-        comparable = [sum(1 << pos[y] for y in f.up_set(x) | f.down_set(x)) for x in f.elements]
-        splits, bodies = {x: [] for x in f.elements}, [[] for _ in f.elements]
-        for c, _ in _antichain_pass(comparable, comparable, (1 << len(pos)) - 1, max_covers):
-            family = frozenset(f.elements[p] for p in _bits(c))
-            pattern = sum(1 << p * stride for p in _bits(c))
+        splits = {x: [] for x in f.elements}
+        table = [[] for _ in f.elements]
+        for c in chains:
+            members = list(_bits(c))
+            family = frozenset(f.elements[p] for p in members)
+            pattern = sum(1 << p * stride for p in members)
             j = f.big_join(family)
             for x in f.down_set(j) if j is not None else ():
                 splits[x].append(family)
-                bodies[pos[x]].append(pattern)
-        reps = self.carrier._reps
-        self._compile((1 << t, pattern << t - t // stride % len(pos) * stride)
-                      for t in range(len(self._atoms)) if reps >> t & 1
-                      for pattern in bodies[t // stride % len(pos)])
+                t = pos[x] * stride
+                if not is_rep[t] or c >> pos[x] & 1:
+                    continue    # not a representative, or a body holding its head
+                if not c:
+                    self._start |= cylinder[x]
+                rule = (1 << t, 1 << t | pattern)
+                for p in members:
+                    table[p].append(rule)
+        watch, block = self._watch, stride * len(table)
+        for line in range(0, len(watch), block):
+            for t0 in range(line, line + stride):
+                if is_rep[t0]:
+                    for p, rules in enumerate(table):
+                        watch[t0 + p * stride] += [(h << t0, r << t0) for h, r in rules]
         return splits
 
     @cached_property

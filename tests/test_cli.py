@@ -15,6 +15,8 @@ from test_formal import _assert_proof
 import locfine
 from locfine.cli import KINDS, emit_structure, main, parse_structure
 from locfine.formal import Derivation, Judgment
+from locfine.frames import frame_from_space, space_sierpinski
+from locfine.products import coproduct_frames
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -100,6 +102,26 @@ def test_coproduct_size_guard_exits_3_at_its_boundary(capsys):
     assert "Traceback" not in captured.err
     assert main(["--max-scan", "6"] + argv) == 0
     assert "coproduct frame: 6 elements" in capsys.readouterr().out
+
+
+def test_coproduct_past_the_family_guard_exits_3(tmp_path, capsys):
+    """Sierpinski^4's emitted 168-element locale, passed twice: its
+    antichains pass the 5000 guard before any of the 28 224-element
+    product is built."""
+    sier = frame_from_space(space_sierpinski())
+    loc, _ = coproduct_frames([sier] * 4)
+    path = tmp_path / "sier4_frame.cov"
+    path.write_text(emit_structure("frame", loc.frame), encoding="utf-8")
+    argv = ["coproduct", str(path), str(path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ("limit exceeded: more than 5000 canonical covers; "
+                            "raise the guard to proceed\n")
+    assert "Traceback" not in captured.err
+    assert main(["--json"] + argv) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"command", "error", "exit"}
+    assert payload["command"] == "coproduct" and payload["exit"] == 3
 
 
 def test_entail_past_the_cover_guard_exits_3(tmp_path, capsys):

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 import locfine.frames as frames_module
-from locfine.carrier import reflexive_transitive_closure, subsets
+from locfine.carrier import _bits, reflexive_transitive_closure, subsets
 from locfine.errors import InvalidTopologyError
 from locfine.frames import (
     Frame,
@@ -658,6 +658,31 @@ def _random_relations(count, seed):
             edges += [(names[0], x) for x in names[1:]]
             edges += [(x, names[-1]) for x in names[:-1]]
         yield names, reflexive_transitive_closure(names, edges)
+
+
+def _names_by_bits(fr, mask):
+    return f(fr._by_bit[i] for i in _bits(mask))
+
+
+def _compare_names_with_bits(fr):
+    """up_set, down_set, points_of and point_extent, whose names are read
+    through the bit selector, against names built bit by bit."""
+    primes = fr._join_primes()
+    points = tuple(Point(least=q, filter=_names_by_bits(fr, fr._up[q]))
+                   for q in fr.elements if primes & fr._bit[q])
+    assert points_of(fr) == points
+    by_least = {p.least: p for p in points}
+    for x in fr.elements:
+        assert fr.up_set(x) == _names_by_bits(fr, fr._up[x]), x
+        assert fr.down_set(x) == _names_by_bits(fr, fr._down[x]), x
+        assert point_extent(fr, x) == f(
+            by_least[q] for q in _names_by_bits(fr, fr._down[x] & primes)), x
+    return len(points)
+
+
+def test_names_read_through_the_selector_match_the_bit_walk():
+    frames = [_n5(), diamond_m3()] + list(_random_posets(3000, seed=11))
+    assert sum(map(_compare_names_with_bits, frames)) > 3000
 
 
 def test_mask_frame_matches_the_search_reference_on_random_relations():

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import locfine.carrier as carrier_module
+import locfine.frames as frames_module
 import locfine.products as products
 
 from locfine.carrier import (
@@ -71,6 +73,7 @@ from locfine.products import (
     star_variant_eq,
 )
 from test_frames import (
+    _compare_names_with_bits,
     _compare_order_with_reference,
     _compare_points_with_reference,
     _ReferenceFrame,
@@ -466,11 +469,11 @@ def _reference_coproduct_frames(fs, max_covers=5000):
 
 
 def _locale_of_sets(carrier, cov, sats_with_reps):
-    """The locale builder on saturations given as sets of names: the one
-    place they become masks, over the atoms of ``cov`` or of a kernel with
-    no rules."""
+    """The locale builder on saturations and representatives given as sets
+    of names: the one place they become masks, over the atoms of ``cov`` or
+    of a kernel with no rules."""
     kernel = cov if cov is not None else products._Coverage(carrier, [])
-    sats = {kernel._mask(s): rep for s, rep in sats_with_reps.items()}
+    sats = {kernel._mask(s): kernel._mask(rep) for s, rep in sats_with_reps.items()}
     locale, _ = _locale_from_sats(carrier, kernel, sats)
     return locale
 
@@ -806,6 +809,62 @@ def test_an_intransitive_factor_raises_as_the_pair_set_preorder_does():
         assert str(got.value).startswith("relation is not transitive")
 
 
+def test_transitive_factors_are_never_scanned_as_a_product(monkeypatch):
+    """A product of transitive orders is transitive: only each factor's own
+    masks are checked."""
+    sizes = []
+    scan = carrier_module._intransitive
+
+    def recorded(order, up):
+        sizes.append(len(order))
+        return scan(order, up)
+
+    for module in (carrier_module, frames_module, products):
+        monkeypatch.setattr(module, "_intransitive", recorded, raising=False)
+    for factors in _reference_factor_lists():
+        sizes.clear()
+        ProductCoverage(factors)
+        assert sizes == [len(fr.elements) for fr in factors]
+
+
+def _preorder_factors():
+    """Factors with two mutually-below elements, the later name no class
+    representative: below a top, and between a bottom and a top."""
+    twins = Frame("abt", {("a", "b"), ("b", "a"), ("a", "t"), ("b", "t")})
+    middle = Frame("0ab1", reflexive_transitive_closure(
+        "0ab1", {("0", "a"), ("a", "b"), ("b", "a"), ("b", "1")}))
+    sier = frame_from_space(space_sierpinski())
+    return [[twins, sier], [sier, middle], [middle, twins], [middle, sier, middle]]
+
+
+def test_shifted_compile_matches_the_rule_by_rule_compile():
+    """Each atom watches the (head, head | body) pairs that compiling
+    ``rules`` one by one gives it, as a multiset, and the start agrees."""
+    watched = 0
+    for factors in _reference_factor_lists() + _preorder_factors():
+        got = ProductCoverage(factors)
+        ref = products._Coverage(got.carrier, got.rules)
+        assert got.rules == _reference_product_coverage(factors).rules
+        assert got._start == ref._start
+        assert [Counter(w) for w in got._watch] == [Counter(w) for w in ref._watch]
+        watched += sum(map(len, ref._watch))
+    assert watched > 10000
+
+
+def test_the_family_guard_raises_before_any_product_mask(monkeypatch):
+    """Sierpinski^4's 168-element locale has more than 5000 antichains, so
+    its square is refused before its 28 224-element order is built."""
+    sier4, _ = coproduct_frames([frame_from_space(space_sierpinski())] * 4)
+
+    def refuse(*args):
+        raise AssertionError("a product mask was built")
+
+    monkeypatch.setattr(Preorder, "_from_masks", classmethod(refuse))
+    monkeypatch.setattr(products, "_product_masks", refuse)
+    with pytest.raises(LimitExceededError):
+        ProductCoverage([sier4.frame, sier4.frame])
+
+
 # The coproduct of finite frames is the frame of opens of the product of
 # their point spaces, so its size is the number of up-sets of the product of
 # the factors' specialization orders.
@@ -1116,8 +1175,8 @@ def _reference_locale_from_sats(carrier, cov, sats_with_reps) -> GeneratedLocale
     labels = {s: f"x{i}" for i, s in enumerate(ordered)}
     le = {(labels[a], labels[b]) for a in ordered for b in ordered if a <= b}
     frame = Frame(labels.values(), le, meanings={labels[s]: s for s in ordered})
-    reps = {labels[s]: sats_with_reps[s] for s in ordered}
-    return GeneratedLocale(carrier, cov, tuple(ordered), frame, reps)
+    rep_masks = {labels[s]: cov._mask(sats_with_reps[s]) for s in ordered}
+    return GeneratedLocale(carrier, cov, tuple(ordered), frame, rep_masks)
 
 
 def _assert_same_locale(loc, ref):
@@ -1148,6 +1207,13 @@ def test_coproduct_masks_match_the_pair_set(factors):
     _assert_same_locale(loc, _rebuilt(loc))
 
 
+@pytest.mark.parametrize("factors", COPRODUCT_SHAPES, ids="x".join)
+def test_coproduct_names_read_through_the_selector_match_the_bit_walk(factors):
+    spaces = dict(SPACES, six=space_six_opens())
+    loc, _ = coproduct_frames([frame_from_space(spaces[k]) for k in factors])
+    assert _compare_names_with_bits(loc.frame) == prod(len(spaces[k].points) for k in factors)
+
+
 def test_presented_locale_masks_match_the_pair_set():
     for rel in RELATIONS:
         loc = locale_from_cov(rel)
@@ -1163,10 +1229,10 @@ def test_masks_of_arbitrary_set_families_match_the_pair_set():
     atoms = carrier.class_reps()
     lattices = 0
     for _ in range(300):
-        family = {f(rng.sample(atoms, rng.randint(0, len(atoms)))): f([i])
+        family = {f(rng.sample(atoms, rng.randint(0, len(atoms)))): f([atoms[i % len(atoms)]])
                   for i in range(rng.randint(1, 9))}
         got = _locale_of_sets(carrier, None, family)
-        ref = _reference_locale_from_sats(carrier, None, family)
+        ref = _reference_locale_from_sats(carrier, got.cov, family)
         assert got.frame._join_dense is None
         _assert_same_locale(got, ref)
         lattices += validate_frame(ref.frame).ok

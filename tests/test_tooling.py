@@ -96,3 +96,17 @@ def test_every_tracer_target_resolves():
         assert len(tracer._layer_of) == len(tracer_module.TARGETS)
     finally:
         tracer.uninstall()
+
+
+def test_one_bit_selector_table_in_carrier():
+    """Names are read from masks through one digits-to-bytes table, the
+    ``compress`` selector's, kept beside the bit walk in carrier."""
+    tables = []
+    for name in sorted(n for n in os.listdir(SRC) if n.endswith(".py")):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        tables += [name for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "maketrans" and node.args
+                   and isinstance(node.args[0], ast.Constant) and node.args[0].value == b"01"]
+    assert tables == ["carrier.py"]
